@@ -101,57 +101,57 @@ class TraceHeader:
         return int(self.metadata.get("line_size", 64))
 
 
+_CTYPES = {ctype.value: ctype for ctype in ConflictType}
+
+
+# Events are built positionally: field order as declared in
+# repro.telemetry.events.
 def _decode_conflict(p: dict) -> ConflictEvent:
     return ConflictEvent(
-        time=p["time"],
-        requester_core=p["requester_core"],
-        victim_core=p["victim_core"],
-        requester_txn=p["requester_txn"],
-        victim_txn=p["victim_txn"],
-        line_addr=p["line_addr"],
-        line_index=p["line_index"],
-        ctype=ConflictType(p["ctype"]),
-        is_false=p["is_false"],
-        requester_is_write=p["requester_is_write"],
-        requester_mask=p["requester_mask"],
-        victim_read_mask=p["victim_read_mask"],
-        victim_write_mask=p["victim_write_mask"],
-        forced_waw=p["forced_waw"],
-        at_commit=p.get("at_commit", False),
+        p["time"],
+        p["requester_core"],
+        p["victim_core"],
+        p["requester_txn"],
+        p["victim_txn"],
+        p["line_addr"],
+        p["line_index"],
+        _CTYPES[p["ctype"]],
+        p["is_false"],
+        p["requester_is_write"],
+        p["requester_mask"],
+        p["victim_read_mask"],
+        p["victim_write_mask"],
+        p["forced_waw"],
+        p.get("at_commit", False),
     )
 
 
 _DECODERS = {
     "txn_start": lambda p: TxnStartEvent(
-        core=p["core"], time=p["time"], attempt=p["attempt"],
-        static_id=p["static_id"],
+        p["core"], p["time"], p["attempt"], p["static_id"]
     ),
-    "txn_commit": lambda p: TxnCommitEvent(core=p["core"], time=p["time"]),
+    "txn_commit": lambda p: TxnCommitEvent(p["core"], p["time"]),
     "txn_abort": lambda p: TxnAbortEvent(
-        core=p["core"], time=p["time"], cause=p["cause"],
-        wasted_cycles=p["wasted_cycles"],
+        p["core"], p["time"], p["cause"], p["wasted_cycles"]
     ),
     "conflict": _decode_conflict,
     "access": lambda p: AccessEvent(
-        core=p["core"], line_addr=p["line_addr"], offset=p["offset"],
-        is_write=p["is_write"], hit_l1=p["hit_l1"],
+        p["core"], p["line_addr"], p["offset"], p["is_write"], p["hit_l1"]
     ),
-    "backoff": lambda p: BackoffEvent(core=p["core"], cycles=p["cycles"]),
-    "stall": lambda p: StallEvent(
-        core=p["core"], time=p["time"], cycles=p["cycles"],
-        aborted=p["aborted"],
-    ),
-    "dirty_reprobe": lambda p: DirtyReprobeEvent(
-        core=p["core"], line_addr=p["line_addr"], time=p["time"],
-    ),
-    "fill": lambda p: FillEvent(
-        core=p["core"], line_addr=p["line_addr"], level=p["level"],
-    ),
+    "backoff": lambda p: BackoffEvent(p["core"], p["cycles"]),
+    "stall": lambda p: StallEvent(p["core"], p["time"], p["cycles"], p["aborted"]),
+    "dirty_reprobe": lambda p: DirtyReprobeEvent(p["core"], p["line_addr"], p["time"]),
+    "fill": lambda p: FillEvent(p["core"], p["line_addr"], p["level"]),
     "run_complete": lambda p: RunCompleteEvent(
-        execution_cycles=p["execution_cycles"],
-        per_core_cycles=tuple(p["per_core_cycles"]),
+        p["execution_cycles"], tuple(p["per_core_cycles"])
     ),
 }
+
+#: JSON insignificant whitespace (what ``json.loads`` skips around a value).
+_JSON_WS = " \t\n\r"
+
+#: :meth:`TraceReader._parse` result for a line that is not one JSON value.
+_TORN = object()
 
 
 class TraceReader:
@@ -163,8 +163,12 @@ class TraceReader:
     (newer *minor* revisions are accepted — additive changes only).
     Iteration then yields one typed event per line.  A torn final line —
     a crash mid-write — ends the stream cleanly and sets
-    :attr:`truncated`; event kinds this reader does not know (future
-    minor revisions) are skipped and counted in :attr:`unknown_events`.
+    :attr:`truncated`, and so does a complete line that is not a single
+    JSON value; event kinds this reader does not know (future minor
+    revisions) are skipped and counted in :attr:`unknown_events`.  A
+    line that parses but is not a JSON object, or a known event with
+    missing or ill-typed fields, raises :class:`~repro.errors.ConfigError`
+    naming ``path:line``.
 
     Usable as a context manager; the file closes when iteration ends
     either way.
@@ -176,19 +180,37 @@ class TraceReader:
         self.events_read = 0
         self.unknown_events = 0
         self._line_no = 1
-        self._fh = open(self.path, "rb")
+        # Lines end at "\n" only, untranslated, so a torn tail (no
+        # trailing newline) stays visible.
+        self._fh = open(self.path, encoding="utf-8", newline="\n")
+        self._readline = self._fh.readline
+        self._scan = json.JSONDecoder().scan_once
         try:
             self.header = self._read_header()
         except BaseException:
             self._fh.close()
             raise
 
-    def _read_header(self) -> TraceHeader:
-        raw = self._fh.readline()
+    def _parse(self, line: str):
+        """The JSON value on one newline-terminated line, else :data:`_TORN`.
+
+        Accepts exactly what ``json.loads`` accepts: one JSON value,
+        optionally surrounded by whitespace.  Anything else — a blank
+        line, a value cut short, trailing bytes after the value — is
+        :data:`_TORN`.
+        """
+        start = 0 if line[0] == "{" else len(line) - len(line.lstrip(_JSON_WS))
         try:
-            payload = json.loads(raw) if raw.endswith(b"\n") else None
-        except json.JSONDecodeError:
-            payload = None
+            value, end = self._scan(line, start)
+        except (StopIteration, ValueError):
+            return _TORN
+        if end != len(line) - 1 and line[end:].strip(_JSON_WS):
+            return _TORN
+        return value
+
+    def _read_header(self) -> TraceHeader:
+        line = self._readline()
+        payload = self._parse(line) if line.endswith("\n") else None
         if not isinstance(payload, dict) or payload.get("event") != "trace_header":
             raise ConfigError(
                 f"{self.path} has no trace schema header — not a "
@@ -221,23 +243,25 @@ class TraceReader:
 
     def __next__(self):
         while True:
-            raw = self._fh.readline()
-            if not raw:
+            line = self._readline()
+            if not line:
                 self.close()
                 raise StopIteration
             self._line_no += 1
-            if not raw.endswith(b"\n"):
-                # Torn tail: a crash mid-write.  Everything before it is
-                # intact, so end the stream rather than erroring.
+            # A line without its newline is a torn tail (a crash
+            # mid-write); one that is not a single JSON value is treated
+            # the same.  Everything before it is intact, so end the
+            # stream rather than erroring.
+            payload = self._parse(line) if line[-1] == "\n" else _TORN
+            if payload is _TORN:
                 self.truncated = True
                 self.close()
                 raise StopIteration
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError:
-                self.truncated = True
-                self.close()
-                raise StopIteration from None
+            if type(payload) is not dict:
+                raise ConfigError(
+                    f"{self.path}:{self._line_no}: expected a JSON object, "
+                    f"got {type(payload).__name__} {line.strip()[:40]!r}"
+                )
             decoder = _DECODERS.get(payload.get("event"))
             if decoder is None:
                 self.unknown_events += 1
@@ -369,57 +393,98 @@ class ConflictTimeline:
         return timeline
 
     def feed(self, event) -> None:
-        """Fold one typed event into the reconstruction."""
-        c = self.counters
-        if isinstance(event, TxnStartEvent):
-            c.on_txn_start(event.core, event.time, event.attempt, event.static_id)
-            self._open[event.core] = len(self.attempts)
-            self.attempts.append(
-                AttemptRecord(
-                    core=event.core,
-                    static_id=event.static_id,
-                    attempt=event.attempt,
-                    start=event.time,
-                )
+        """Fold one typed event into the reconstruction.
+
+        Dispatches on the event's exact type; a subclass of an event type
+        is handled like its base, and objects of any other type are
+        ignored.
+        """
+        handler = self._FEED.get(type(event))
+        if handler is None:
+            handler = next(
+                (h for cls, h in self._FEED.items() if isinstance(event, cls)),
+                None,
             )
-        elif isinstance(event, TxnCommitEvent):
-            c.on_txn_commit(event.core, event.time)
-            idx = self._open.pop(event.core, None)
-            if idx is not None:
-                rec = self.attempts[idx]
-                rec.end = event.time
-                rec.outcome = "commit"
-                self.commits_by_static[rec.static_id] += 1
-        elif isinstance(event, TxnAbortEvent):
-            c.on_txn_abort(event.core, event.time, event.cause, event.wasted_cycles)
-            idx = self._open.pop(event.core, None)
-            if idx is not None:
-                rec = self.attempts[idx]
-                rec.end = event.time
-                rec.outcome = event.cause
-                rec.wasted_cycles = event.wasted_cycles
-                self.wasted_by_static[rec.static_id] += event.wasted_cycles
-                self.aborts_by_static[rec.static_id] += 1
-        elif isinstance(event, ConflictEvent):
-            c.on_conflict(event)
-            self._line_addr.setdefault(event.line_index, event.line_addr)
-            self.conflicts.append((event, self._open.get(event.victim_core)))
-        elif isinstance(event, AccessEvent):
-            c.on_access(
-                event.core, event.line_addr, event.offset, event.is_write,
-                event.hit_l1,
+            if handler is None:
+                return
+        handler(self, event)
+
+    def _feed_txn_start(self, event: TxnStartEvent) -> None:
+        self.counters.on_txn_start(
+            event.core, event.time, event.attempt, event.static_id
+        )
+        self._open[event.core] = len(self.attempts)
+        self.attempts.append(
+            AttemptRecord(
+                core=event.core,
+                static_id=event.static_id,
+                attempt=event.attempt,
+                start=event.time,
             )
-            self.access_offsets[event.offset] += 1
-        elif isinstance(event, BackoffEvent):
-            c.on_backoff(event.core, event.cycles)
-        elif isinstance(event, StallEvent):
-            c.on_stall(event.core, event.time, event.cycles, event.aborted)
-        elif isinstance(event, DirtyReprobeEvent):
-            c.on_dirty_reprobe(event.core, event.line_addr, event.time)
-        elif isinstance(event, FillEvent):
-            c.on_fill(event.core, event.line_addr, event.level)
-        elif isinstance(event, RunCompleteEvent):
-            c.on_run_complete(event.execution_cycles, event.per_core_cycles)
+        )
+
+    def _feed_txn_commit(self, event: TxnCommitEvent) -> None:
+        self.counters.on_txn_commit(event.core, event.time)
+        idx = self._open.pop(event.core, None)
+        if idx is not None:
+            rec = self.attempts[idx]
+            rec.end = event.time
+            rec.outcome = "commit"
+            self.commits_by_static[rec.static_id] += 1
+
+    def _feed_txn_abort(self, event: TxnAbortEvent) -> None:
+        self.counters.on_txn_abort(
+            event.core, event.time, event.cause, event.wasted_cycles
+        )
+        idx = self._open.pop(event.core, None)
+        if idx is not None:
+            rec = self.attempts[idx]
+            rec.end = event.time
+            rec.outcome = event.cause
+            rec.wasted_cycles = event.wasted_cycles
+            self.wasted_by_static[rec.static_id] += event.wasted_cycles
+            self.aborts_by_static[rec.static_id] += 1
+
+    def _feed_conflict(self, event: ConflictEvent) -> None:
+        self.counters.on_conflict(event)
+        self._line_addr.setdefault(event.line_index, event.line_addr)
+        self.conflicts.append((event, self._open.get(event.victim_core)))
+
+    def _feed_access(self, event: AccessEvent) -> None:
+        self.counters.on_access(
+            event.core, event.line_addr, event.offset, event.is_write, event.hit_l1
+        )
+        self.access_offsets[event.offset] += 1
+
+    def _feed_backoff(self, event: BackoffEvent) -> None:
+        self.counters.on_backoff(event.core, event.cycles)
+
+    def _feed_stall(self, event: StallEvent) -> None:
+        self.counters.on_stall(event.core, event.time, event.cycles, event.aborted)
+
+    def _feed_dirty_reprobe(self, event: DirtyReprobeEvent) -> None:
+        self.counters.on_dirty_reprobe(event.core, event.line_addr, event.time)
+
+    def _feed_fill(self, event: FillEvent) -> None:
+        self.counters.on_fill(event.core, event.line_addr, event.level)
+
+    def _feed_run_complete(self, event: RunCompleteEvent) -> None:
+        self.counters.on_run_complete(event.execution_cycles, event.per_core_cycles)
+
+    #: event type -> handler; the isinstance fallback in :meth:`feed`
+    #: walks it in this order.
+    _FEED = {
+        TxnStartEvent: _feed_txn_start,
+        TxnCommitEvent: _feed_txn_commit,
+        TxnAbortEvent: _feed_txn_abort,
+        ConflictEvent: _feed_conflict,
+        AccessEvent: _feed_access,
+        BackoffEvent: _feed_backoff,
+        StallEvent: _feed_stall,
+        DirtyReprobeEvent: _feed_dirty_reprobe,
+        FillEvent: _feed_fill,
+        RunCompleteEvent: _feed_run_complete,
+    }
 
     # -- basic properties ----------------------------------------------------
 

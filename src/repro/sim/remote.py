@@ -44,6 +44,7 @@ what makes crash/retry across a fleet exactly-once at the results layer.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import queue
@@ -61,6 +62,8 @@ from typing import Sequence
 
 from repro.errors import SimulationError
 from repro.sim.executors import ExecConfig, ExecTask, mark_provenance
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "Coordinator",
@@ -551,7 +554,10 @@ def worker_main(
     the connection drops), heartbeating while a batch runs.  Results are
     always :class:`RunSummary`-shaped and stamped with this worker's
     identity.  ``max_batches`` exists for tests and drain-style
-    launchers.  Returns a process exit code.
+    launchers.  Returns a process exit code: 1 when the coordinator is
+    unreachable, rejects the worker or the connection breaks, each
+    logged as an error on this module's logger with ``worker`` and
+    ``coordinator`` fields; 0 on shutdown or a clean hang-up.
     """
     from repro.sim import parallel
 
@@ -561,7 +567,10 @@ def worker_main(
     try:
         sock = socket.create_connection((host, port), timeout=10.0)
     except OSError as exc:
-        print(f"worker {ident}: cannot reach {connect}: {exc}", file=sys.stderr)
+        log.error(
+            "worker %s: cannot reach %s: %s", ident, connect, exc,
+            extra={"worker": ident, "coordinator": connect},
+        )
         return 1
     send_lock = threading.Lock()
     try:
@@ -582,7 +591,10 @@ def worker_main(
                 if isinstance(welcome, dict)
                 else "no welcome"
             )
-            print(f"worker {ident}: {reason}", file=sys.stderr)
+            log.error(
+                "worker %s: %s", ident, reason,
+                extra={"worker": ident, "coordinator": connect},
+            )
             return 1
         heartbeat = float(welcome.get("heartbeat", 1.0))
         served = 0
@@ -641,7 +653,10 @@ def worker_main(
             if max_batches is not None and served >= max_batches:
                 return 0
     except (OSError, pickle.PickleError, EOFError) as exc:
-        print(f"worker {ident}: connection lost: {exc}", file=sys.stderr)
+        log.error(
+            "worker %s: connection lost: %s", ident, exc,
+            extra={"worker": ident, "coordinator": connect},
+        )
         return 1
     finally:
         sock.close()

@@ -401,6 +401,47 @@ class DetailSink(CounterSink):
         return sorted(merged.items())
 
 
+#: JSON literal of a bool flag, indexed by the flag itself.
+_JSON_BOOL = ("false", "true")
+
+
+class _JsonStrings(dict):
+    """``str`` → its JSON literal, encoded once per distinct string.
+
+    Abort causes, fill levels and conflict types come from small fixed
+    sets, so every lookup after the first is a dict hit.
+    """
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = json.dumps(text)
+        return literal
+
+
+# One %-template per event kind.  Each formats to exactly
+# ``json.dumps(payload, separators=(",", ":")) + "\n"`` of the event's
+# payload dict (keys in this order): ints go through %d, bool flags
+# through _JSON_BOOL and strings through a _JsonStrings cache.
+_TXN_START = '{"event":"txn_start","core":%d,"time":%d,"attempt":%d,"static_id":%d}\n'
+_TXN_COMMIT = '{"event":"txn_commit","core":%d,"time":%d}\n'
+_TXN_ABORT = '{"event":"txn_abort","core":%d,"time":%d,"cause":%s,"wasted_cycles":%d}\n'
+_CONFLICT = (
+    '{"event":"conflict","time":%d,"requester_core":%d,"victim_core":%d,'
+    '"requester_txn":%d,"victim_txn":%d,"line_addr":%d,"line_index":%d,'
+    '"ctype":%s,"is_false":%s,"requester_is_write":%s,"requester_mask":%d,'
+    '"victim_read_mask":%d,"victim_write_mask":%d,"forced_waw":%s,'
+    '"at_commit":%s}\n'
+)
+_ACCESS = (
+    '{"event":"access","core":%d,"line_addr":%d,"offset":%d,'
+    '"is_write":%s,"hit_l1":%s}\n'
+)
+_BACKOFF = '{"event":"backoff","core":%d,"cycles":%d}\n'
+_STALL = '{"event":"stall","core":%d,"time":%d,"cycles":%d,"aborted":%s}\n'
+_DIRTY_REPROBE = '{"event":"dirty_reprobe","core":%d,"line_addr":%d,"time":%d}\n'
+_FILL = '{"event":"fill","core":%d,"line_addr":%d,"level":%s}\n'
+_RUN_COMPLETE = '{"event":"run_complete","execution_cycles":%d,"per_core_cycles":[%s]}\n'
+
+
 class JsonlTraceSink:
     """Streams events as JSON lines and forwards them to an inner sink.
 
@@ -417,6 +458,18 @@ class JsonlTraceSink:
     written.  ``on_run_complete`` writes the final marker and closes the
     file.  Attribute reads the trace sink does not define (``summary``,
     counters, …) proxy to the inner sink.
+
+    Event lines are rendered from one pre-formatted ``%``-template per
+    event kind rather than by building a dict for ``json.dumps``.  The
+    output is byte-identical to ``json.dumps(payload,
+    separators=(",", ":"))`` provided the hooks receive what the
+    :class:`~repro.telemetry.events.EventSink` signatures say: plain
+    ``int`` for cores, times, counts and masks, real ``bool`` for flags
+    (an ``int`` 0/1 flag would print ``true``/``false`` where
+    ``json.dumps`` prints ``1``/``0``) and ``str`` for causes and fill
+    levels.  ``tests/telemetry/test_trace_format.py`` holds the frozen
+    digest oracle, the per-kind line contract and the kernel type pin
+    that keep this true.
 
     ``metadata`` is free-form JSON-safe run context (scheme, seed,
     workload, …) carried verbatim in the header for post-mortem analysis;
@@ -438,9 +491,11 @@ class JsonlTraceSink:
         self.metadata = dict(metadata) if metadata else {}
         self.events_written = 0
         self._fh = open(path, "w", encoding="utf-8")
+        self._write = self._fh.write
+        self._json_str = _JsonStrings()
         # The header is format framing, not an event: written directly so
         # events_written stays the count of simulation events.
-        self._fh.write(
+        self._write(
             json.dumps(
                 {
                     "event": "trace_header",
@@ -455,10 +510,6 @@ class JsonlTraceSink:
             + "\n"
         )
 
-    def _emit(self, payload: dict) -> None:
-        self._fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        self.events_written += 1
-
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
@@ -471,115 +522,81 @@ class JsonlTraceSink:
     # -- event hooks ---------------------------------------------------------
 
     def on_txn_start(self, core: int, time: int, attempt: int, static_id: int) -> None:
-        self._emit(
-            {
-                "event": "txn_start",
-                "core": core,
-                "time": time,
-                "attempt": attempt,
-                "static_id": static_id,
-            }
-        )
+        self._write(_TXN_START % (core, time, attempt, static_id))
+        self.events_written += 1
         self.inner.on_txn_start(core, time, attempt, static_id)
 
     def on_txn_commit(self, core: int, time: int) -> None:
-        self._emit({"event": "txn_commit", "core": core, "time": time})
+        self._write(_TXN_COMMIT % (core, time))
+        self.events_written += 1
         self.inner.on_txn_commit(core, time)
 
     def on_txn_abort(self, core: int, time: int, cause: str, wasted_cycles: int) -> None:
-        self._emit(
-            {
-                "event": "txn_abort",
-                "core": core,
-                "time": time,
-                "cause": cause,
-                "wasted_cycles": wasted_cycles,
-            }
-        )
+        self._write(_TXN_ABORT % (core, time, self._json_str[cause], wasted_cycles))
+        self.events_written += 1
         self.inner.on_txn_abort(core, time, cause, wasted_cycles)
 
     def on_conflict(self, rec) -> None:
-        self._emit(
-            {
-                "event": "conflict",
-                "time": rec.time,
-                "requester_core": rec.requester_core,
-                "victim_core": rec.victim_core,
-                "requester_txn": rec.requester_txn,
-                "victim_txn": rec.victim_txn,
-                "line_addr": rec.line_addr,
-                "line_index": rec.line_index,
-                "ctype": rec.ctype.value,
-                "is_false": rec.is_false,
-                "requester_is_write": rec.requester_is_write,
-                "requester_mask": rec.requester_mask,
-                "victim_read_mask": rec.victim_read_mask,
-                "victim_write_mask": rec.victim_write_mask,
-                "forced_waw": rec.forced_waw,
-                "at_commit": getattr(rec, "at_commit", False),
-            }
+        self._write(
+            _CONFLICT
+            % (
+                rec.time,
+                rec.requester_core,
+                rec.victim_core,
+                rec.requester_txn,
+                rec.victim_txn,
+                rec.line_addr,
+                rec.line_index,
+                self._json_str[rec.ctype.value],
+                _JSON_BOOL[rec.is_false],
+                _JSON_BOOL[rec.requester_is_write],
+                rec.requester_mask,
+                rec.victim_read_mask,
+                rec.victim_write_mask,
+                _JSON_BOOL[rec.forced_waw],
+                _JSON_BOOL[getattr(rec, "at_commit", False)],
+            )
         )
+        self.events_written += 1
         self.inner.on_conflict(rec)
 
     def on_access(
         self, core: int, line_addr: int, offset: int, is_write: bool, hit_l1: bool
     ) -> None:
         if self.trace_accesses:
-            self._emit(
-                {
-                    "event": "access",
-                    "core": core,
-                    "line_addr": line_addr,
-                    "offset": offset,
-                    "is_write": is_write,
-                    "hit_l1": hit_l1,
-                }
+            self._write(
+                _ACCESS
+                % (core, line_addr, offset, _JSON_BOOL[is_write], _JSON_BOOL[hit_l1])
             )
+            self.events_written += 1
         self.inner.on_access(core, line_addr, offset, is_write, hit_l1)
 
     def on_backoff(self, core: int, cycles: int) -> None:
-        self._emit({"event": "backoff", "core": core, "cycles": cycles})
+        self._write(_BACKOFF % (core, cycles))
+        self.events_written += 1
         self.inner.on_backoff(core, cycles)
 
     def on_stall(self, core: int, time: int, cycles: int, aborted: bool) -> None:
-        self._emit(
-            {
-                "event": "stall",
-                "core": core,
-                "time": time,
-                "cycles": cycles,
-                "aborted": aborted,
-            }
-        )
+        self._write(_STALL % (core, time, cycles, _JSON_BOOL[aborted]))
+        self.events_written += 1
         self.inner.on_stall(core, time, cycles, aborted)
 
     def on_dirty_reprobe(self, core: int, line_addr: int, time: int) -> None:
-        self._emit(
-            {
-                "event": "dirty_reprobe",
-                "core": core,
-                "line_addr": line_addr,
-                "time": time,
-            }
-        )
+        self._write(_DIRTY_REPROBE % (core, line_addr, time))
+        self.events_written += 1
         self.inner.on_dirty_reprobe(core, line_addr, time)
 
     def on_fill(self, core: int, line_addr: int, level: str) -> None:
-        self._emit(
-            {"event": "fill", "core": core, "line_addr": line_addr, "level": level}
-        )
+        self._write(_FILL % (core, line_addr, self._json_str[level]))
+        self.events_written += 1
         self.inner.on_fill(core, line_addr, level)
 
     def on_run_complete(
         self, execution_cycles: int, per_core_cycles: Sequence[int]
     ) -> None:
-        self._emit(
-            {
-                "event": "run_complete",
-                "execution_cycles": execution_cycles,
-                "per_core_cycles": list(per_core_cycles),
-            }
-        )
+        per_core = ",".join(["%d" % cycles for cycles in per_core_cycles])
+        self._write(_RUN_COMPLETE % (execution_cycles, per_core))
+        self.events_written += 1
         self.inner.on_run_complete(execution_cycles, per_core_cycles)
         self.close()
 

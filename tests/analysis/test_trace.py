@@ -49,6 +49,13 @@ def record_trace(tmp_path, workload="kmeans", scheme=DetectionScheme.ASF_BASELIN
     return path, res
 
 
+HEADER = json.dumps({
+    "event": "trace_header", "schema": "repro-asf-trace", "major": 1,
+    "minor": 1, "trace_accesses": False, "metadata": {},
+}) + "\n"
+START = '{"event":"txn_start","core":0,"time":1,"attempt":1,"static_id":7}\n'
+
+
 def drive(sink) -> None:
     """Fixed mini-run touching start/abort/conflict/commit/complete."""
     sink.on_txn_start(0, 10, 1, 42)
@@ -168,6 +175,45 @@ class TestTraceReader:
         with pytest.raises(ConfigError, match="malformed 'txn_start'"):
             list(TraceReader(str(path)))
 
+    @pytest.mark.parametrize("line", ["[1,2]", "3", '"x"', "null", "true"])
+    def test_non_object_line_raises_with_location(self, tmp_path, line):
+        path = tmp_path / "nonobj.jsonl"
+        path.write_text(HEADER + START + line + "\n" + START)
+        with pytest.raises(ConfigError, match=r"nonobj\.jsonl:3: expected a JSON object"):
+            read_events(path)
+
+    @pytest.mark.parametrize("bad", [
+        '{"event":"txn_commit","core":0,"time":2}xyz',  # trailing garbage
+        '{"event":"txn_commit","core":0,"time":2}{}',   # a second value
+        "",                                            # blank line
+        "   ",                                         # whitespace only
+        '{"event":"txn_commit","core":0,',             # value cut short
+        "{not json}",
+    ])
+    def test_unparseable_complete_line_ends_stream_truncated(self, tmp_path, bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(HEADER + START + bad + "\n" + START)
+        with TraceReader(path) as reader:
+            events = list(reader)
+            assert reader.truncated
+        assert len(events) == 1 and reader.events_read == 1
+
+    def test_whitespace_around_a_value_is_accepted(self, tmp_path):
+        # The same lines json.loads accepts: surrounding blanks, tabs, \r.
+        path = tmp_path / "ws.jsonl"
+        path.write_text(
+            HEADER + " \t" + START.rstrip("\n") + " \r\n" + START, newline=""
+        )
+        with TraceReader(path) as reader:
+            assert len(list(reader)) == 2
+            assert not reader.truncated
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "listhead.jsonl"
+        path.write_text("[1,2]\n" + START)
+        with pytest.raises(ConfigError, match="no trace schema header"):
+            TraceReader(path)
+
 
 class TestCounterParity:
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -201,6 +247,35 @@ class TestCounterParity:
 
 
 class TestConflictTimeline:
+    def test_event_subclasses_fold_like_their_base(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        drive(JsonlTraceSink(path))
+        _, events = read_events(path)
+        subclassed = {
+            base: type(f"Sub{base.__name__}", (base,), {"__slots__": ()})
+            for base in {type(e) for e in events}
+        }
+        derived = [
+            subclassed[type(e)](*(getattr(e, f) for f in e.__slots__))
+            for e in events
+        ]
+        assert all(type(e) is not type(d) for e, d in zip(events, derived))
+        base_tl = ConflictTimeline.from_events(events)
+        sub_tl = ConflictTimeline.from_events(derived)
+        assert sub_tl.summary() == base_tl.summary()
+        assert len(sub_tl.attempts) == len(base_tl.attempts) == 3
+        assert len(sub_tl.conflicts) == len(base_tl.conflicts) == 1
+
+    def test_unknown_objects_are_ignored(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        drive(JsonlTraceSink(path))
+        _, events = read_events(path)
+        noise = [object(), "txn_start", 42, {"event": "txn_commit"}, None]
+        mixed = [x for pair in zip(events, noise * 3) for x in pair]
+        assert ConflictTimeline.from_events(mixed).summary() == (
+            ConflictTimeline.from_events(events).summary()
+        )
+
     def test_attempts_and_victim_attribution(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         drive(JsonlTraceSink(path))

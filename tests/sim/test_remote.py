@@ -13,11 +13,13 @@ Two layers of coverage:
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -32,6 +34,7 @@ from repro.sim.remote import (
     _Batch,
     recv_msg,
     send_msg,
+    worker_main,
 )
 from repro.store import ResultsStore
 
@@ -318,6 +321,73 @@ class TestProtocolFaults:
             assert stats["drained_to_local"] == 2
         finally:
             coord.stop()
+
+
+def _one_shot_server(reply):
+    """Listen on a free port; answer the first hello with ``reply(conn)``."""
+    srv = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn:
+            recv_msg(conn)
+            reply(conn)
+            conn.recv(1)  # hold the socket open until the worker hangs up
+        srv.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return "127.0.0.1:%d" % srv.getsockname()[1]
+
+
+class TestWorkerLogging:
+    """worker_main reports its failures through the module logger."""
+
+    def _failures(self, caplog):
+        return [
+            r for r in caplog.records
+            if r.name == "repro.sim.remote" and r.levelno == logging.ERROR
+        ]
+
+    def test_unreachable_coordinator(self, caplog):
+        probe = socket.create_server(("127.0.0.1", 0))
+        addr = "127.0.0.1:%d" % probe.getsockname()[1]
+        probe.close()  # nothing listens there any more
+        with caplog.at_level(logging.ERROR, logger="repro.sim.remote"):
+            assert worker_main(addr, worker_id="w-unreach") == 1
+        (rec,) = self._failures(caplog)
+        assert "cannot reach" in rec.getMessage()
+        assert rec.worker == "w-unreach" and rec.coordinator == addr
+
+    def test_rejected_by_coordinator(self, caplog):
+        addr = _one_shot_server(
+            lambda conn: send_msg(conn, {"type": "reject", "reason": "bad token"})
+        )
+        with caplog.at_level(logging.ERROR, logger="repro.sim.remote"):
+            assert worker_main(addr, worker_id="w-reject", token="x") == 1
+        (rec,) = self._failures(caplog)
+        assert rec.getMessage() == "worker w-reject: bad token"
+        assert rec.worker == "w-reject"
+
+    def test_connection_lost(self, caplog):
+        def welcome_then_garbage(conn):
+            send_msg(conn, {"type": "welcome", "heartbeat": 1.0})
+            conn.sendall(b"\x00\x00\x00\x04\x00\x01\x02\x03")  # not a pickle
+
+        addr = _one_shot_server(welcome_then_garbage)
+        with caplog.at_level(logging.ERROR, logger="repro.sim.remote"):
+            assert worker_main(addr, worker_id="w-lost") == 1
+        (rec,) = self._failures(caplog)
+        assert "connection lost" in rec.getMessage()
+        assert rec.worker == "w-lost"
+
+    def test_clean_shutdown_logs_nothing(self, caplog):
+        addr = _one_shot_server(lambda conn: (
+            send_msg(conn, {"type": "welcome", "heartbeat": 1.0}),
+            send_msg(conn, {"type": "shutdown"}),
+        ))
+        with caplog.at_level(logging.ERROR, logger="repro.sim.remote"):
+            assert worker_main(addr, worker_id="w-ok") == 0
+        assert not self._failures(caplog)
 
 
 def _spawn_worker(coord, extra=()):
