@@ -86,18 +86,23 @@ def test_owner_map_exact_mid_run():
     assert_owner_invariant(engine.machine.mem)
 
 
-def test_owner_pointer_parity_with_legacy_walk():
-    """Supplier selection via the owner pointer must reproduce the
-    legacy snoop-order walk bit-for-bit (MOESI admits one supplier)."""
+def test_owner_pointer_parity_object_vs_flat():
+    """The object model's ``l1_owner`` map and the flat kernel's owner
+    plane pick the same supplier on every fill, bit-for-bit."""
     cfg = default_system(DetectionScheme.ASF_BASELINE, 4)
     workload = get_workload("vacation", 12)
     scripts = workload.build(cfg.n_cores, 1)
 
-    fast = SimulationEngine(cfg, scripts, seed=1, check_atomicity=False)
-    legacy = SimulationEngine(cfg, scripts, seed=1, check_atomicity=False)
-    legacy.machine.use_sharer_index = False
+    obj = SimulationEngine(
+        cfg.with_kernel("object"), scripts, seed=1, check_atomicity=False
+    )
+    flat = SimulationEngine(
+        cfg.with_kernel("flat"), scripts, seed=1, check_atomicity=False
+    )
 
-    fast_stats = fast.run()
-    legacy_stats = legacy.run()
-    assert fast_stats.summary() == legacy_stats.summary()
-    assert fast_stats.per_core_cycles == legacy_stats.per_core_cycles
+    obj_stats = obj.run()
+    flat_stats = flat.run()
+    assert obj_stats.summary() == flat_stats.summary()
+    assert obj_stats.per_core_cycles == flat_stats.per_core_cycles
+    assert_owner_invariant(obj.machine.mem)
+    flat.machine.state.audit_coherence()

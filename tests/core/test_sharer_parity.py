@@ -1,12 +1,14 @@
-"""Sharer-filtered probes must be observationally identical to broadcast.
+"""Sharer-indexed probes: the object and flat kernels agree step by step.
 
-The machine keeps per-line sharer indexes (valid L1 copies and spec-table
+Both kernels keep per-line sharer indexes (valid L1 copies and spec-table
 entries) so probes, invalidations and fetch snoops visit only potential
-responders.  That is purely a who-gets-visited optimization: every
-scenario here runs twice — ``use_sharer_index=True`` vs the legacy
-all-cores scan — and asserts identical observable behaviour, including
-the *order* of conflict records (multi-victim aborts and the older-wins
-early exit depend on round-robin delivery order).
+responders, in round-robin order for probes and ascending order for every
+other walk.  Every scenario here runs on both kernels in lockstep and
+asserts identical observable behaviour after each step, including the
+*order* of conflict records (multi-victim aborts and the older-wins early
+exit depend on round-robin delivery order).  The object kernel's index is
+also checked against a ground-truth scan of its side tables, and the flat
+kernel's arrays pass the MOESI/holder audit.
 
 Scenarios follow the protocol tests: the Figure 6 dirty-reprobe hazard,
 Figure 7-style sub-block interleavings, multi-victim write probes, and
@@ -16,12 +18,12 @@ stats equality on contended workloads under all three schemes.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.config import ConflictResolution, DetectionScheme, default_system
 from repro.htm.txn import TxnStatus
+from repro.kernel import FlatTxnMachine
+from repro.sim.atomicity import AtomicityChecker
 from repro.sim.engine import SimulationEngine
 from repro.workloads.kmeans import KmeansWorkload
 from repro.workloads.vacation import VacationWorkload
@@ -33,22 +35,22 @@ SB = 16
 
 
 def mirrored_drivers(config) -> tuple[TxnDriver, TxnDriver]:
-    fast = make_machine(config, check=True)
-    slow = make_machine(config, check=True)
-    assert fast.use_sharer_index
-    slow.use_sharer_index = False
-    return TxnDriver(fast), TxnDriver(slow)
+    """(object, flat) drivers, both with the raising atomicity checker."""
+    obj = make_machine(config.with_kernel("object"), check=True)
+    flat = FlatTxnMachine(config.with_kernel("flat"))
+    flat.checker = AtomicityChecker(tokens=flat.tokens, versions=flat.versions)
+    return TxnDriver(obj), TxnDriver(flat)
 
 
 class Mirror:
-    """Applies every driver step to both machines and compares outcomes."""
+    """Applies every driver step to both kernels and compares outcomes."""
 
     def __init__(self, config) -> None:
-        self.fast, self.slow = mirrored_drivers(config)
+        self.obj, self.flat = mirrored_drivers(config)
 
     def _both(self, method: str, *args):
-        a = getattr(self.fast, method)(*args)
-        b = getattr(self.slow, method)(*args)
+        a = getattr(self.obj, method)(*args)
+        b = getattr(self.flat, method)(*args)
         if method in ("read", "write"):
             assert a.conflicts == b.conflicts, method
             assert a.self_abort == b.self_abort
@@ -76,20 +78,21 @@ class Mirror:
 
     def finish(self):
         """Final cross-machine invariants after the scenario."""
-        fm, sm = self.fast.machine, self.slow.machine
-        assert fm.stats.summary() == sm.stats.summary()
-        for c in range(fm.config.n_cores):
-            fa, sa = fm.active[c], sm.active[c]
-            assert (fa is None) == (sa is None)
-            if fa is not None:
-                assert fa.status == sa.status
-        # The index itself must agree with a ground-truth scan.
-        for line, mask in fm.spec_holders.items():
+        om, fm = self.obj.machine, self.flat.machine
+        assert om.stats.summary() == fm.stats.summary()
+        for c in range(om.config.n_cores):
+            oa, fa = om.active[c], fm.active[c]
+            assert (oa is None) == (fa is None)
+            if oa is not None:
+                assert oa.status == fa.status
+        # The object index itself must agree with a ground-truth scan.
+        for line, mask in om.spec_holders.items():
             truth = 0
-            for c, table in enumerate(fm.spec_tables):
+            for c, table in enumerate(om.spec_tables):
                 if line in table:
                     truth |= 1 << c
             assert mask == truth
+        fm.state.audit_coherence()
 
 
 @pytest.fixture(params=[DetectionScheme.ASF_BASELINE, DetectionScheme.SUBBLOCK])
@@ -126,7 +129,7 @@ class TestProtocolScenarios:
 
     def test_forced_waw_between_disjoint_writers(self):
         """Disjoint sub-block writers trip the forced-WAW rule — on the
-        filtered path exactly as on broadcast."""
+        flat kernel exactly as on the object model."""
         m = Mirror(default_system(DetectionScheme.SUBBLOCK, 4))
         m.begin(0)
         m.begin(1)
@@ -195,7 +198,7 @@ class TestProtocolScenarios:
         m.begin(1)  # younger
         out = m.write(1, L, 8)
         assert out.self_abort is not None
-        assert m.fast.txn(0).status is TxnStatus.RUNNING
+        assert m.obj.txn(0).status is TxnStatus.RUNNING
         m.commit(0)
         m.finish()
 
@@ -230,14 +233,14 @@ def test_engine_parity_full_run(workload, scheme):
     cfg = default_system(scheme, 4)
     scripts = workload.build(cfg.n_cores, 9)
 
-    def run(sharer_index: bool):
+    def run(kernel: str):
         engine = SimulationEngine(
-            cfg, scripts, seed=9, check_atomicity=True, record_events=True
+            cfg.with_kernel(kernel), scripts, seed=9, check_atomicity=True,
+            record_events=True,
         )
-        engine.machine.use_sharer_index = sharer_index
         return engine.run()
 
-    fast, slow = run(True), run(False)
-    assert fast.summary() == slow.summary()
-    assert fast.conflict_events == slow.conflict_events
-    assert fast.per_core_cycles == slow.per_core_cycles
+    obj, flat = run("object"), run("flat")
+    assert obj.summary() == flat.summary()
+    assert obj.conflict_events == flat.conflict_events
+    assert obj.per_core_cycles == flat.per_core_cycles

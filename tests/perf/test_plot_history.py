@@ -16,14 +16,13 @@ _SPEC.loader.exec_module(plot_history)
 
 
 def line(acc: float, quick: bool = True, sha: str = "abc1234") -> dict:
-    # ``engine_flat_txn_acc_per_sec`` is the gate metric; the legacy
-    # array-kernel number rides along as a plain trend metric.
+    # ``engine_flat_txn_acc_per_sec`` is the gate metric; the speedup
+    # over the object model rides along as a plain trend metric.
     return {
         "sha": sha,
         "quick": quick,
         "engine_flat_txn_acc_per_sec": acc,
-        "hot_path_acc_per_sec": acc,
-        "hot_path_speedup": 1.1,
+        "speedup_flat_vs_object": 3.1,
         "simulate_seconds": 0.8,
     }
 
@@ -44,7 +43,7 @@ class TestLoadHistory:
             [line(100.0), "not json {", "", '["a","list"]', line(200.0)],
         )
         lines = plot_history.load_history(path)
-        assert [x["hot_path_acc_per_sec"] for x in lines] == [100.0, 200.0]
+        assert [x["engine_flat_txn_acc_per_sec"] for x in lines] == [100.0, 200.0]
 
     def test_missing_file_is_empty(self, tmp_path):
         assert plot_history.load_history(str(tmp_path / "nope.jsonl")) == []
@@ -53,7 +52,8 @@ class TestLoadHistory:
 class TestRenderTrends:
     def test_mentions_every_metric_and_latest(self):
         out = plot_history.render_trends([line(100.0), line(150.0)])
-        assert "hot_path_acc_per_sec" in out
+        assert "engine_flat_txn_acc_per_sec" in out
+        assert "speedup_flat_vs_object" in out
         assert "latest 150" in out
         assert "2 run(s)" in out
 

@@ -42,7 +42,7 @@ from repro.telemetry.events import NullSink
 from repro.telemetry.sinks import JsonlTraceSink
 from repro.workloads.registry import get_workload
 
-KERNELS = ("object", "array", "flat")
+KERNELS = ("object", "flat")
 TXNS = 10
 SEED = 3
 
@@ -63,7 +63,7 @@ CASES = {
 }
 
 #: sha256 of the full trace file (header included) per case, recorded
-#: with the original dict + ``json.dumps`` encoder.  All three kernels
+#: with the original dict + ``json.dumps`` encoder.  Both kernels
 #: must produce these exact bytes.  Never regenerate these to make a
 #: failing encoder change pass: a mismatch means the format changed.
 DIGESTS = {

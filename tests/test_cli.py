@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import SystemConfig
 
 
 class TestParser:
@@ -81,10 +82,18 @@ class TestCommands:
     def test_run_kernel_flag(self, capsys):
         parser = build_parser()
         assert parser.parse_args(["run", "vacation"]).kernel == "flat"
-        for kernel in ("object", "array", "flat"):
+        for kernel in ("object", "flat"):
             assert parser.parse_args(
                 ["run", "vacation", "--kernel", kernel]
             ).kernel == kernel
+        with pytest.raises(SystemExit):
+            parser.parse_args(["replay", "x.jsonl", "--kernel", "array"])
+
+    def test_replay_and_run_share_the_config_default_kernel(self):
+        parser = build_parser()
+        default = SystemConfig().kernel
+        assert parser.parse_args(["run", "vacation"]).kernel == default
+        assert parser.parse_args(["replay", "x.jsonl"]).kernel == default
 
     def test_package_exports(self):
         import repro

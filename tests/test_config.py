@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import (
+    KERNELS,
     CacheConfig,
     DetectionScheme,
     HtmConfig,
@@ -115,6 +116,11 @@ class TestSystemConfig:
     def test_rejects_zero_cores(self):
         with pytest.raises(ConfigError):
             SystemConfig(n_cores=0)
+
+    def test_rejects_removed_array_kernel(self):
+        assert KERNELS == ("object", "flat")
+        with pytest.raises(ConfigError):
+            SystemConfig(kernel="array")
 
     def test_sensible_subblock_counts_accepted(self):
         for n in (1, 2, 4, 8, 16, 32, 64):
