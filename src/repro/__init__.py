@@ -25,8 +25,11 @@ Record a run's event trace and run conflict forensics over it::
     print(analyze_trace("ev.jsonl"))
 
 Everything in ``__all__`` below is the stable public API: these names
-keep working across minor releases, with renames bridged by
-``DeprecationWarning`` shims for one release before removal.  Deeper
+keep working across minor releases.  How a batch of runs executes is
+configured through one argument only: every batch entry point
+(``run_many``, ``iter_many``, ``compare_systems``, ``run_suite``, the
+sweeps) takes ``executor=`` — an ``ExecConfig``, a spec string such as
+``"process:8"``, a live executor or ``None`` for in-process.  Deeper
 module paths are implementation detail.
 
 Layering (each layer only depends on the ones above it):

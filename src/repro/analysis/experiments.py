@@ -8,28 +8,24 @@ benchmark harness shares one suite per session via a fixture so the ten
 figure benches do not re-simulate.
 
 The suite is benchmarks × schemes independent simulations, so it fans out
-through the streaming :func:`repro.sim.parallel.run_many` path —
-``jobs>1`` runs them concurrently with bit-identical results, and the
-registry-name specs let each pool worker compile a benchmark once and
-reuse it for all three schemes.  ``store=`` checkpoints completions to a
-:class:`~repro.store.ResultsStore` (interrupted suites resume);
-``on_result=`` fires per completion for live progress.
+through the streaming :func:`repro.sim.parallel.run_many` path — an
+``executor=`` such as ``"process:4"`` runs them concurrently with
+bit-identical results, and the registry-name specs let each pool worker
+compile a benchmark once and reuse it for all three schemes.  A store on
+the executor's :class:`~repro.sim.executors.ExecConfig` checkpoints
+completions (interrupted suites resume); its ``on_result`` fires per
+completion for live progress.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.config import DetectionScheme, SystemConfig, default_system
-from repro.sim.executors import as_exec_config
 from repro.sim.parallel import RunSpec, run_many
 from repro.sim.runner import RunResult
 from repro.telemetry.summary import MetricStats, aggregate_metrics
 from repro.workloads.registry import BENCHMARK_NAMES
-
-if TYPE_CHECKING:
-    from repro.store import ResultsStore
 
 __all__ = [
     "BenchResult",
@@ -129,9 +125,6 @@ def run_suite(
     config: SystemConfig | None = None,
     check_atomicity: bool = False,
     record_events: bool = True,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
     trace_dir: str | None = None,
     executor=None,
 ) -> SuiteResults:
@@ -140,17 +133,16 @@ def run_suite(
     ``check_atomicity`` defaults to off here (the correctness suite covers
     it; the figure harness favours wall-clock).  ``record_events`` keeps
     the baseline's conflict records for the open-loop Figure 5/8 analysis.
-    ``jobs>1`` distributes the benchmarks × schemes batch over a process
-    pool; every run is independently seeded so the results are identical
-    to a serial suite.  ``store`` checkpoints the summary-shaped runs
-    (the event-recording baselines re-run on resume — their event
-    streams cannot round-trip through JSON); ``on_result`` fires as each
-    run completes.  ``trace_dir`` records every run as a JSONL event
-    trace (``<bench>_<scheme>.jsonl``) for post-hoc forensics.
-    ``executor`` picks the execution backend (an
-    :class:`~repro.sim.executors.ExecConfig` or spec string like
-    ``process:8`` / ``remote:hosts.txt``); ``jobs``/``store``/
-    ``on_result`` overlay it.
+    ``trace_dir`` records every run as a JSONL event trace
+    (``<bench>_<scheme>.jsonl``) for post-hoc forensics.
+
+    ``executor`` says how the benchmarks × schemes batch runs (an
+    :class:`~repro.sim.executors.ExecConfig`, a spec string like
+    ``process:8`` / ``remote:hosts.txt``, a live executor or ``None``
+    for in-process); every run is independently seeded, so the results
+    are identical to a serial suite.  A store on the config checkpoints
+    the summary-shaped runs (the event-recording baselines re-run on
+    resume — their event streams cannot round-trip through JSON).
     """
     import os
 
@@ -186,8 +178,7 @@ def run_suite(
         for name in benchmarks
         for scheme in _SUITE_SCHEMES
     ]
-    cfg = as_exec_config(executor, jobs=jobs, store=store, on_result=on_result)
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     for i, name in enumerate(benchmarks):
         runs: dict[DetectionScheme, RunResult] = {
             scheme: results[i * len(_SUITE_SCHEMES) + j]
@@ -228,9 +219,6 @@ def run_seed_sweep(
     n_subblocks: int = 4,
     config: SystemConfig | None = None,
     schemes: tuple[DetectionScheme, ...] = _SUITE_SCHEMES,
-    jobs: int = 1,
-    store: "ResultsStore | None" = None,
-    on_result=None,
     executor=None,
 ) -> SeedSweepResults:
     """Repeat benchmarks × schemes over several seeds.
@@ -238,8 +226,9 @@ def run_seed_sweep(
     Every run ships back as a compact summary (no per-event detail), so
     even a wide sweep is cheap to fan out over a pool; the per-metric
     spread comes from :func:`repro.telemetry.aggregate_metrics`.
-    ``store`` checkpoints every completed (bench, scheme, seed) run, so
-    an interrupted sweep resumes with only the missing cells.
+    ``executor`` says how the batch runs, as for :func:`run_suite`; a
+    store on its config checkpoints every completed (bench, scheme, seed)
+    run, so an interrupted sweep resumes with only the missing cells.
     """
     if not seeds:
         raise ValueError("run_seed_sweep needs at least one seed")
@@ -256,10 +245,7 @@ def run_seed_sweep(
         for scheme in schemes
         for seed in seeds
     ]
-    cfg = as_exec_config(
-        executor, jobs=jobs, transfer="summary", store=store, on_result=on_result
-    )
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     sweep = SeedSweepResults(
         txns_per_core=txns_per_core,
         seeds=tuple(seeds),

@@ -23,8 +23,8 @@ Subcommands::
 execution backend: ``serial`` (in-process reference), ``process`` /
 ``process:N`` (local pool, N workers), ``remote`` / ``remote:PORT`` /
 ``remote:HOST:PORT`` / ``remote:HOSTS_FILE`` (TCP coordinator; workers
-join via ``repro-asf worker``).  ``--jobs N`` remains as a deprecated
-alias for ``process:N``.  See ``docs/DISTRIBUTED.md`` for the fabric.
+join via ``repro-asf worker``).  Without it, runs execute in-process.
+See ``docs/DISTRIBUTED.md`` for the fabric.
 
 ``--trace-dir DIR`` on ``run``/``suite`` records every run's event
 trace into DIR *and* writes a ``<run>.report.txt`` forensics report next
@@ -121,32 +121,13 @@ class _ProgressLine:
 
 
 def _executor_config(args: argparse.Namespace, store=None, on_result=None):
-    """The :class:`~repro.sim.executors.ExecConfig` the CLI flags select.
-
-    ``--executor SPEC`` wins; ``--jobs N`` (the deprecated alias) maps to
-    ``process:N`` with a :class:`DeprecationWarning` when it deviates
-    from the serial default.
-    """
-    import warnings
-
-    from repro.sim.executors import as_exec_config, parse_executor_spec
+    """The :class:`~repro.sim.executors.ExecConfig` the CLI flags select:
+    ``--executor SPEC``, or the in-process default without it."""
+    from repro.sim.executors import ExecConfig, parse_executor_spec
 
     spec = getattr(args, "executor", None)
-    jobs = getattr(args, "jobs", 1)
-    if spec is not None:
-        cfg = parse_executor_spec(spec)
-    else:
-        if jobs != 1:
-            alias = f"process:{jobs}" if jobs > 0 else "process"
-            warnings.warn(
-                f"--jobs is deprecated; use --executor {alias}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        cfg = as_exec_config(None, jobs=jobs)
-    cfg.store = store
-    cfg.on_result = on_result
-    return cfg
+    cfg = parse_executor_spec(spec) if spec is not None else ExecConfig()
+    return cfg.merged(store=store, on_result=on_result)
 
 
 def _open_store(args: argparse.Namespace):
@@ -807,11 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
             "'remote:HOSTS_FILE' (bind/launch lines; see docs/DISTRIBUTED.md)"
             "; every backend is bit-identical to serial",
         )
-        p.add_argument(
-            "--jobs", "-j", type=int, default=1,
-            help="deprecated alias for --executor process:N "
-            "(1 = serial, 0 = all cores)",
-        )
         if seeds:
             p.add_argument(
                 "--seeds", type=int, default=1,
@@ -846,8 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--profile", action="store_true",
         help="wrap the run in cProfile: print the top-20 cumulative "
-        "functions and a machine/engine/telemetry phase split (use "
-        "--jobs 1; subprocess work is invisible to the profiler)",
+        "functions and a machine/engine/telemetry phase split (use the "
+        "default in-process executor; subprocess work is invisible to "
+        "the profiler)",
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -992,7 +969,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and not args.checkpoint:
+        parser.error("--resume needs --checkpoint DIR")
     try:
         return args.func(args)
     except BrokenPipeError:

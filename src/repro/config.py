@@ -296,11 +296,6 @@ class HtmConfig:
     backoff_jitter: float = 0.5
     max_retries: int | None = None
 
-    @property
-    def resolution(self) -> ConflictResolution:
-        """The policy's resolution axis (the machines' hot-path read)."""
-        return self.policy.resolution
-
     def __post_init__(self) -> None:
         if self.n_subblocks <= 0:
             raise ConfigError(f"n_subblocks must be positive, got {self.n_subblocks}")

@@ -633,7 +633,7 @@ class HtmMachine:
             records.append(rec)
             self.sink.on_conflict(rec)
             if (
-                self.config.htm.resolution is ConflictResolution.OLDER_WINS
+                self.config.htm.policy.resolution is ConflictResolution.OLDER_WINS
                 and txn is not None
                 and victim.start_time < txn.start_time
             ):

@@ -146,7 +146,7 @@ class FlatTxnMachine(HtmMachine):
             # inheriting the base no-op hooks.
             self._dirty_en = False
         self._sub_memo: dict[int, int] = {}
-        self._older_wins = config.htm.resolution is ConflictResolution.OLDER_WINS
+        self._older_wins = config.htm.policy.resolution is ConflictResolution.OLDER_WINS
         lat = config.latency
         self._lat_l1 = lat.l1_hit
         self._lat_l2 = lat.l2_hit

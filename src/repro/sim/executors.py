@@ -6,15 +6,14 @@ Every sweep in this repo is a batch of independent, seeded simulations.
 and yields ``(index, result)`` pairs in completion order.  This module
 defines the executor layer:
 
-* :class:`ExecConfig` — one dataclass holding every execution knob that
-  used to sprawl across ``run_many``/``iter_many`` keyword arguments
-  (``jobs``, ``timeout``, ``transfer``, ``store``, retry knobs, …) plus
-  the remote-backend tuning (batching, heartbeats, deadlines, backoff).
+* :class:`ExecConfig` — one dataclass holding every execution knob of a
+  batch (``jobs``, ``timeout``, ``store``, retry knobs, …) plus the
+  remote-backend tuning (batching, heartbeats, deadlines, backoff).
 * :func:`parse_executor_spec` — the ``--executor`` grammar: ``serial``,
   ``process``, ``process:8``, ``remote``, ``remote:PORT``,
   ``remote:HOST:PORT``, ``remote:hosts.txt``.
-* :func:`build_executor` — resolves an :class:`ExecConfig` (or spec
-  string) into a concrete :class:`Executor`.
+* :func:`build_executor` — resolves an :class:`ExecConfig`, spec string,
+  live executor or ``None`` into a concrete :class:`Executor`.
 * :class:`SerialExecutor` — in-process, the deterministic reference.
 * :class:`ProcessExecutor` — today's ``ProcessPoolExecutor`` fan-out,
   with the bounded in-flight window, worker-death retries, per-spec
@@ -35,7 +34,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -61,7 +60,6 @@ __all__ = [
     "ProcessExecutor",
     "STREAM_BACKLOG",
     "SerialExecutor",
-    "as_exec_config",
     "build_executor",
     "mark_provenance",
     "parse_executor_spec",
@@ -88,11 +86,10 @@ def resolve_jobs(jobs: int | None) -> int:
 class ExecConfig:
     """Every execution knob of a sweep, in one place.
 
-    The first block is what used to be ``run_many``'s keyword sprawl;
-    the second is remote-fabric tuning that only the ``remote`` backend
-    reads.  Instances are plain mutable dataclasses — build one, tweak
-    fields, hand it to :func:`~repro.sim.parallel.run_many` — and
-    :func:`as_exec_config` merges legacy keyword arguments onto them.
+    The first block applies to every backend; the second is
+    remote-fabric tuning that only the ``remote`` backend reads.
+    Instances are plain mutable dataclasses — build one, tweak fields,
+    hand it to :func:`~repro.sim.parallel.run_many` as ``executor=``.
     """
 
     #: ``"serial"`` | ``"process"`` | ``"remote"``.
@@ -100,8 +97,6 @@ class ExecConfig:
     #: Process-backend pool width (0/negative = all cores).  ``jobs=1``
     #: short-circuits to in-process execution, exactly like ``serial``.
     jobs: int = 1
-    #: Batch-wide transfer override (``None`` = per-spec ``auto``).
-    transfer: str | None = None
     #: Per-spec pool-residence budget in seconds (``None`` = unbounded).
     timeout: float | None = None
     #: Pool rebuilds granted to a spec after worker deaths before it
@@ -142,8 +137,6 @@ class ExecConfig:
     #: Shared secret workers must echo in their hello; auto-generated
     #: for self-launched workers, empty = accept any (trusted network).
     token: str = ""
-    #: Free-form knobs for custom executors registered by name.
-    options: dict = field(default_factory=dict)
 
     def merged(self, **overrides) -> "ExecConfig":
         """A copy with the given fields replaced."""
@@ -209,24 +202,24 @@ def parse_executor_spec(text: str) -> ExecConfig:
     if head == "process":
         if not rest:
             return ExecConfig(backend="process", jobs=0)
-        try:
-            jobs = int(rest)
-        except ValueError:
+        if not rest.isdigit() or int(rest) < 1:
             raise ConfigError(
-                f"process:N needs an integer worker count, got {text!r}"
-            ) from None
-        return ExecConfig(backend="process", jobs=jobs)
+                f"process:N needs a positive integer worker count, got {text!r}"
+            )
+        return ExecConfig(backend="process", jobs=int(rest))
     if head == "remote":
         cfg = ExecConfig(backend="remote")
         if not rest:
             return cfg
         if os.path.exists(rest):
             return _read_hosts_file(rest, cfg)
-        if rest.isdigit():
-            return cfg.merged(bind=f"0.0.0.0:{int(rest)}")
         host, sep, port = rest.rpartition(":")
-        if sep and port.isdigit():
-            return cfg.merged(bind=f"{host}:{int(port)}")
+        if port.isdigit():
+            if int(port) > 65535:
+                raise ConfigError(
+                    f"remote spec {text!r}: port {port} is outside 0-65535"
+                )
+            return cfg.merged(bind=f"{host if sep else '0.0.0.0'}:{int(port)}")
         raise ConfigError(
             f"remote spec {text!r}: expected remote, remote:PORT, "
             "remote:HOST:PORT or remote:HOSTS_FILE (file not found?)"
@@ -258,72 +251,32 @@ def _read_hosts_file(path: str, cfg: ExecConfig) -> ExecConfig:
     return cfg.merged(bind=bind, launch=tuple(launch))
 
 
-def as_exec_config(
-    executor: "ExecConfig | Executor | str | int | None" = None,
-    *,
-    jobs: int | None = None,
-    transfer: str | None = None,
-    timeout: float | None = None,
-    worker_retries: int | None = None,
-    store: "ResultsStore | None" = None,
-    resume: bool | None = None,
-    on_result=None,
-) -> "ExecConfig | Executor":
-    """Normalize the many ways callers name an executor into one config.
-
-    ``executor`` may be an :class:`ExecConfig` (copied), a spec string
-    (parsed), a bare int (legacy ``jobs`` count), an :class:`Executor`
-    instance (returned as-is — the keyword overrides must then be unset)
-    or ``None`` (defaults).  The explicit keyword arguments overlay the
-    resolved config; ``jobs`` only applies when ``executor`` itself did
-    not choose a backend, so ``executor="remote", jobs=4`` does not
-    silently demote the sweep to a local pool.
-    """
-    if (
-        executor is not None
-        and not isinstance(executor, (ExecConfig, str, int))
-        and hasattr(executor, "run")
-    ):
-        return executor  # already a live Executor
-    if executor is None:
-        cfg = ExecConfig(jobs=jobs if jobs is not None else 1)
-    elif isinstance(executor, ExecConfig):
-        cfg = replace(executor)
-    elif isinstance(executor, str):
-        cfg = parse_executor_spec(executor)
-    elif isinstance(executor, int):
-        cfg = ExecConfig(backend="process", jobs=executor)
-    else:  # pragma: no cover - defensive
-        raise ConfigError(f"cannot interpret executor {executor!r}")
-    if transfer is not None:
-        cfg.transfer = transfer
-    if timeout is not None:
-        cfg.timeout = timeout
-    if worker_retries is not None:
-        cfg.worker_retries = worker_retries
-    if store is not None:
-        cfg.store = store
-    if resume is not None:
-        cfg.resume = resume
-    if on_result is not None:
-        cfg.on_result = on_result
-    return cfg
-
-
 def build_executor(
-    spec: "ExecConfig | Executor | str | int | None" = None,
+    spec: "ExecConfig | Executor | str | None" = None,
     stream_stats: dict | None = None,
 ) -> Executor:
-    """Resolve a config/spec into a concrete executor.
+    """Resolve how a batch executes into a concrete executor.
+
+    ``spec`` may be an :class:`ExecConfig` (copied, so the executor never
+    aliases the caller's config), a spec string (parsed by
+    :func:`parse_executor_spec`), a live :class:`Executor` (returned
+    as-is) or ``None`` (the in-process default, ``ExecConfig()``).
 
     ``stream_stats`` (optional dict) receives backend instrumentation —
     ``peak_inflight`` / ``pool_rotations`` for the pool,
     ``workers_joined`` / ``batches_requeued`` / ``duplicates_dropped``
     for the remote fabric.
     """
-    cfg = as_exec_config(spec)
-    if not isinstance(cfg, ExecConfig):
-        return cfg  # already a live Executor
+    if spec is None:
+        cfg = ExecConfig()
+    elif isinstance(spec, ExecConfig):
+        cfg = replace(spec)
+    elif isinstance(spec, str):
+        cfg = parse_executor_spec(spec)
+    elif hasattr(spec, "run"):
+        return spec  # already a live Executor
+    else:
+        raise ConfigError(f"cannot interpret executor {spec!r}")
     stats = stream_stats if stream_stats is not None else {}
     if cfg.backend == "serial":
         return SerialExecutor(cfg, stats)

@@ -3,9 +3,9 @@
 Every figure, sweep and ablation in the evaluation is a batch of
 *independent* simulations — a pure function of ``(workload, config,
 seed)``.  This module turns such a batch into a pickle-safe list of
-:class:`RunSpec` and executes it with :func:`run_many`, either in-process
-(``jobs=1``, the deterministic reference path) or fanned out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+:class:`RunSpec` and executes it with :func:`run_many`, either
+in-process (the deterministic reference path) or fanned out over worker
+processes or remote hosts.
 
 Three properties are load-bearing:
 
@@ -27,9 +27,9 @@ yields ``(index, result)`` pairs as runs complete.  *How* the batch
 executes is delegated to a pluggable :class:`~repro.sim.executors.Executor`
 (``serial`` in-process, ``process`` pool fan-out, ``remote`` TCP fleet —
 see :mod:`repro.sim.executors` and :mod:`repro.sim.remote`), configured
-by one :class:`~repro.sim.executors.ExecConfig` instead of the historic
-keyword sprawl; the old ``jobs=``/``timeout=``/… keywords still work
-through deprecation shims.  :func:`run_many` is a thin collector over
+by the one ``executor=`` argument (an
+:class:`~repro.sim.executors.ExecConfig`, a spec string, a live
+executor or ``None``).  :func:`run_many` is a thin collector over
 :func:`iter_many` that restores spec order.  Store checkpointing and
 resume live *here*, backend-agnostically: every summary-shaped
 completion is recorded to the :class:`~repro.store.ResultsStore` as it
@@ -38,7 +38,6 @@ arrives, and already-stored specs are served without re-simulating.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -51,9 +50,7 @@ from repro.sim.executors import (
     ExecConfig,
     ExecTask,
     Executor,
-    as_exec_config,
     build_executor,
-    mark_provenance,
     parse_executor_spec,
     resolve_jobs,
 )
@@ -80,7 +77,7 @@ __all__ = [
     "run_many",
 ]
 
-#: Valid ``transfer`` arguments to :func:`run_many`.
+#: Valid :attr:`RunSpec.transfer` values.
 TRANSFER_MODES = ("auto", "summary", "full")
 
 #: Bound on the per-process compiled-script cache (entries, not bytes).
@@ -101,8 +98,7 @@ class RunSpec:
     names.  ``label`` is carried through untouched for sweep axes.
 
     ``transfer`` is this spec's preferred result shape (``"auto"`` /
-    ``"summary"`` / ``"full"``); a batch-wide ``transfer=`` argument to
-    :func:`run_many` overrides it.  See :func:`resolve_transfer`.
+    ``"summary"`` / ``"full"``).  See :func:`resolve_transfer`.
     """
 
     workload: str | Workload
@@ -222,18 +218,16 @@ def execute_spec(spec: RunSpec) -> RunResult:
     )
 
 
-def resolve_transfer(spec: RunSpec, override: str | None) -> str:
+def resolve_transfer(spec: RunSpec) -> str:
     """Concrete transfer mode ("summary" | "full") for one spec.
 
-    Precedence: the batch-wide ``override`` beats the spec's own
-    ``transfer`` field.  ``auto`` keeps the full collector only when the
-    spec records raw events (figures read the event streams; a summary
-    cannot carry them) and ships the compact :class:`RunSummary`
-    otherwise.  An explicit ``"summary"`` is likewise upgraded to
+    ``auto`` keeps the full collector only when the spec records raw
+    events (figures read the event streams; a summary cannot carry them)
+    and ships the compact :class:`RunSummary` otherwise.  An explicit ``"summary"`` is likewise upgraded to
     ``"full"`` for event-recording specs rather than silently dropping
     their data.
     """
-    mode = override if override is not None else spec.transfer
+    mode = spec.transfer
     if mode not in TRANSFER_MODES:
         raise SimulationError(
             f"transfer must be one of {TRANSFER_MODES}, got {mode!r}"
@@ -267,59 +261,16 @@ def execute_spec_transfer(spec: RunSpec, mode: str) -> RunResult:
     return res
 
 
-#: Backwards-compatible alias; the canonical name lives in
-#: :mod:`repro.sim.executors`.
-_mark = mark_provenance
-
-
 def _record_to_store(store: "ResultsStore | None", spec: RunSpec, res: RunResult) -> None:
     if store is not None:
         store.record(spec, res)
 
 
-#: Keyword arguments :func:`run_many`/:func:`iter_many` accepted before
-#: the :class:`ExecConfig` redesign.  They keep working through the
-#: deprecation shim below (one release), mapped onto the equivalent
-#: config field.
-_LEGACY_KWARGS = (
-    "jobs",
-    "transfer",
-    "timeout",
-    "worker_retries",
-    "store",
-    "resume",
-    "on_result",
-)
-
-
-def _shim_config(
-    executor: "ExecConfig | Executor | str | int | None",
-    legacy: dict,
-    caller: str,
-) -> "ExecConfig | Executor":
-    """Map pre-ExecConfig keyword arguments onto a config, with a warning."""
-    unknown = set(legacy) - set(_LEGACY_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    if legacy:
-        warnings.warn(
-            f"{caller}({', '.join(sorted(legacy))}=...) keyword arguments are "
-            "deprecated; pass an ExecConfig (or an --executor spec string "
-            "like 'process:8') as the `executor` argument instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return as_exec_config(executor, **legacy)
-
-
 def iter_many(
     specs: list[RunSpec] | Iterable[RunSpec],
-    executor: "ExecConfig | Executor | str | int | None" = None,
+    executor: "ExecConfig | Executor | str | None" = None,
     *,
     stream_stats: dict | None = None,
-    **legacy,
 ) -> Iterator[tuple[int, RunResult]]:
     """Yield ``(index, result)`` pairs as runs complete, memory-bounded.
 
@@ -333,11 +284,9 @@ def iter_many(
     :class:`~repro.sim.executors.ExecConfig`, a spec string (``serial``,
     ``process:8``, ``remote:hosts.txt`` — see
     :func:`~repro.sim.executors.parse_executor_spec`), a live
-    :class:`~repro.sim.executors.Executor`, a bare int (worker count),
-    or ``None`` for the in-process default.  The historic keyword
-    arguments (``jobs``, ``transfer``, ``timeout``, ``worker_retries``,
-    ``store``, ``resume``) still work through a :class:`DeprecationWarning`
-    shim that maps them onto the equivalent config field.
+    :class:`~repro.sim.executors.Executor`, or ``None`` for the
+    in-process default.  It is the only execution argument: worker
+    count, deadlines, retries and the store all live on the config.
 
     Store checkpointing is backend-agnostic and lives here: every
     summary-shaped completion is recorded to ``config.store`` as it
@@ -353,17 +302,15 @@ def iter_many(
     ``workers_joined`` / ``batches_requeued`` / ``duplicates_dropped``
     for the remote fabric).
     """
-    cfg = _shim_config(executor, legacy, "iter_many")
     specs = list(specs)
     stats = stream_stats if stream_stats is not None else {}
     stats.setdefault("peak_inflight", 0)
     stats.setdefault("served_from_store", 0)
     stats.setdefault("pool_rotations", 0)
 
-    backend = cfg if not isinstance(cfg, ExecConfig) else build_executor(cfg, stats)
-    conf = backend.config
-    store, resume, transfer = conf.store, conf.resume, conf.transfer
-    modes = [resolve_transfer(spec, transfer) for spec in specs]
+    backend = build_executor(executor, stats)
+    store, resume = backend.config.store, backend.config.resume
+    modes = [resolve_transfer(spec) for spec in specs]
 
     tasks: list[ExecTask] = []
     for i, spec in enumerate(specs):
@@ -385,10 +332,9 @@ def iter_many(
 
 def run_many(
     specs: list[RunSpec],
-    executor: "ExecConfig | Executor | str | int | None" = None,
+    executor: "ExecConfig | Executor | str | None" = None,
     *,
     stream_stats: dict | None = None,
-    **legacy,
 ) -> list[RunResult]:
     """Execute every spec; results come back in spec order.
 
@@ -401,15 +347,12 @@ def run_many(
     ``executor`` accepts everything :func:`iter_many` does — an
     :class:`~repro.sim.executors.ExecConfig`, a spec string
     (``serial`` / ``process:8`` / ``remote:hosts.txt``), a live
-    executor, a bare worker count, or ``None`` for the in-process
-    default.  The deprecated keyword arguments (``jobs``, ``transfer``,
-    ``timeout``, ``worker_retries``, ``store``, ``resume``,
-    ``on_result``) keep working under a :class:`DeprecationWarning`.
+    executor, or ``None`` for the in-process default.
 
     Whatever the backend, each run executes whole specs with its own
     seed, so per-run determinism is untouched and results are
-    bit-identical to the serial path; the transfer modes (``auto`` /
-    ``summary`` / ``full``) decide whether the compact
+    bit-identical to the serial path; each spec's transfer mode
+    (``auto`` / ``summary`` / ``full``) decides whether the compact
     :class:`RunSummary` or the full collector travels back.
 
     Resilience covers infrastructure failures, not broken experiments:
@@ -417,11 +360,12 @@ def run_many(
     re-run in-process (stamped ``worker_retries``/``serial_fallback``),
     while simulation errors (livelock, protocol violations) propagate.
     """
-    cfg = _shim_config(executor, legacy, "run_many")
-    on_result = cfg.on_result if isinstance(cfg, ExecConfig) else cfg.config.on_result
+    stats = stream_stats if stream_stats is not None else {}
+    backend = build_executor(executor, stats)
+    on_result = backend.config.on_result
     specs = list(specs)
     results: list[RunResult | None] = [None] * len(specs)
-    for i, res in iter_many(specs, cfg, stream_stats=stream_stats):
+    for i, res in iter_many(specs, backend, stream_stats=stats):
         results[i] = res
         if on_result is not None:
             on_result(i, res)

@@ -168,10 +168,6 @@ def compare_systems(
     check_atomicity: bool = True,
     record_events: bool = False,
     record_detail: bool = True,
-    jobs: int = 1,
-    transfer: str | None = None,
-    store=None,
-    on_result=None,
     trace_dir: str | None = None,
     executor=None,
 ) -> dict[str, RunResult]:
@@ -179,15 +175,13 @@ def compare_systems(
 
     Keys of the returned dict are scheme values (``"asf"``, ``"subblock"``,
     ``"perfect"``); the workload is compiled once (per process) so every
-    system executes the same program.  ``executor`` picks the execution
-    backend (an :class:`~repro.sim.executors.ExecConfig` or spec string
-    like ``process:8``); ``jobs``/``transfer``/``store``/``on_result``
-    are per-call overrides folded onto it.  All backends are
-    bit-identical to the serial path.  ``trace_dir`` additionally
+    system executes the same program.  ``executor`` says how the batch
+    runs (an :class:`~repro.sim.executors.ExecConfig`, a spec string like
+    ``process:8``, a live executor or ``None`` for in-process); all
+    backends are bit-identical to the serial path.  ``trace_dir`` additionally
     records each scheme's run as a JSONL event trace
     (``<workload>_<scheme>.jsonl``) for post-hoc forensics.
     """
-    from repro.sim.executors import as_exec_config
     from repro.sim.parallel import RunSpec, run_many
 
     if trace_dir is not None:
@@ -209,10 +203,7 @@ def compare_systems(
         )
         for scheme in schemes
     ]
-    cfg = as_exec_config(
-        executor, jobs=jobs, transfer=transfer, store=store, on_result=on_result
-    )
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     return {scheme.value: res for scheme, res in zip(schemes, results)}
 
 
@@ -227,9 +218,6 @@ def compare_systems_seeds(
         DetectionScheme.PERFECT,
     ),
     check_atomicity: bool = True,
-    jobs: int = 1,
-    store=None,
-    on_result=None,
     trace_dir: str | None = None,
     executor=None,
 ) -> dict[str, list[RunResult]]:
@@ -239,12 +227,11 @@ def compare_systems_seeds(
     use the compact summary transfer (per-run detail is not kept), so the
     batch is cheap to fan out.  Feed each list to
     :func:`repro.telemetry.aggregate_metrics` for mean ± stdev.
-    ``store`` checkpoints each (scheme, seed) cell for resume.
     ``trace_dir`` records every (scheme, seed) cell as
-    ``<workload>_<scheme>_s<seed>.jsonl``.  ``executor`` picks the
-    execution backend; ``jobs``/``store``/``on_result`` overlay it.
+    ``<workload>_<scheme>_s<seed>.jsonl``.  ``executor`` says how the
+    batch runs, as for :func:`compare_systems`; a store on its config
+    checkpoints each (scheme, seed) cell for resume.
     """
-    from repro.sim.executors import as_exec_config
     from repro.sim.parallel import RunSpec, run_many
 
     if not seeds:
@@ -267,10 +254,7 @@ def compare_systems_seeds(
         for scheme in schemes
         for seed in seeds
     ]
-    cfg = as_exec_config(
-        executor, jobs=jobs, transfer="summary", store=store, on_result=on_result
-    )
-    results = run_many(specs, cfg)
+    results = run_many(specs, executor)
     out: dict[str, list[RunResult]] = {}
     it = iter(results)
     for scheme in schemes:

@@ -16,10 +16,9 @@ Since the telemetry refactor the collector *is* a
 :class:`repro.telemetry.sinks.DetailSink`: the machine layers emit typed
 events through the :class:`~repro.telemetry.events.EventSink` protocol
 (``on_conflict``, ``on_access``, …) and the accumulation logic lives in
-:mod:`repro.telemetry.sinks`.  This module keeps the historical name, the
-``record_*`` convenience methods (tests and external callers use them)
-and the sink-selection helper; :class:`ConflictCounts` is re-exported
-from its new home.
+:mod:`repro.telemetry.sinks`.  This module keeps the historical name and
+the sink-selection helper; :class:`ConflictCounts` is re-exported from
+its new home.
 """
 
 from __future__ import annotations
@@ -41,32 +40,6 @@ class StatsCollector(DetailSink):
     analysis it will never run.  The aggregate counters (conflicts,
     aborts, commits, hit/miss, cycles) are identical either way.
     """
-
-    # -- legacy recording surface -------------------------------------------
-    # Thin aliases over the EventSink hooks, kept for direct callers (the
-    # machine itself now emits on_* events).  Core/address context is not
-    # part of the old signatures, so a neutral 0 is passed through.
-
-    def record_conflict(self, rec) -> None:
-        self.on_conflict(rec)
-
-    def record_txn_start(self, time: int, attempt: int, static_id: int) -> None:
-        self.on_txn_start(0, time, attempt, static_id)
-
-    def record_commit(self) -> None:
-        self.on_txn_commit(0, 0)
-
-    def record_abort(self, cause: str, wasted: int) -> None:
-        self.on_txn_abort(0, 0, cause, wasted)
-
-    def record_backoff(self, cycles: int) -> None:
-        self.on_backoff(0, cycles)
-
-    def record_access(self, offset: int, is_write: bool, hit_l1: bool) -> None:
-        self.on_access(0, 0, offset, is_write, hit_l1)
-
-    def record_dirty_reprobe(self) -> None:
-        self.on_dirty_reprobe(0, 0, 0)
 
 
 def build_sink(

@@ -1,5 +1,5 @@
 """The executor layer: config resolution, the --executor grammar, the
-deprecation shims, and the per-spec deadline ledger."""
+removed execution keywords, and the per-spec deadline ledger."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.sim.executors import (
     ProcessExecutor,
     SerialExecutor,
     _DeadlineLedger,
-    as_exec_config,
     build_executor,
     parse_executor_spec,
 )
@@ -91,44 +90,41 @@ class TestExecutorSpecGrammar:
             parse_executor_spec(f"remote:{hosts}")
 
     @pytest.mark.parametrize(
-        "bad", ["serial:2", "process:x", "remote:no-such-file.txt", "threads"]
+        "bad",
+        [
+            "serial:2",
+            "process:x",
+            "process:0",
+            "process:-3",
+            "remote:no-such-file.txt",
+            "remote:99999",
+            "remote:host:70000",
+            "threads",
+        ],
     )
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ConfigError):
             parse_executor_spec(bad)
 
 
-class TestAsExecConfig:
+class TestBuildExecutor:
     def test_none_is_inprocess_default(self):
-        cfg = as_exec_config(None)
-        assert isinstance(cfg, ExecConfig) and cfg.jobs == 1
-
-    def test_int_is_legacy_jobs(self):
-        cfg = as_exec_config(4)
-        assert cfg.backend == "process" and cfg.jobs == 4
+        exec_ = build_executor(None)
+        assert exec_.config == ExecConfig() and exec_.config.jobs == 1
 
     def test_string_is_parsed(self):
-        assert as_exec_config("process:3").jobs == 3
+        assert build_executor("process:3").config.jobs == 3
 
     def test_config_is_copied_not_aliased(self):
         src = ExecConfig(jobs=2)
-        cfg = as_exec_config(src, timeout=9.0)
-        assert cfg is not src and cfg.timeout == 9.0 and src.timeout is None
+        exec_ = build_executor(src)
+        exec_.config.timeout = 9.0
+        assert exec_.config is not src and src.timeout is None
 
-    def test_live_executor_passes_through(self):
-        live = SerialExecutor(ExecConfig(backend="serial"))
-        assert as_exec_config(live) is live
+    def test_bare_int_rejected(self):
+        with pytest.raises(ConfigError):
+            build_executor(2)
 
-    def test_kwargs_overlay(self):
-        cfg = as_exec_config("serial", worker_retries=5, resume=False)
-        assert cfg.worker_retries == 5 and cfg.resume is False
-
-    def test_jobs_does_not_demote_chosen_backend(self):
-        cfg = as_exec_config("remote", jobs=4)
-        assert cfg.backend == "remote"
-
-
-class TestBuildExecutor:
     def test_backend_resolution(self):
         assert isinstance(build_executor("serial"), SerialExecutor)
         assert isinstance(build_executor("process:2"), ProcessExecutor)
@@ -146,44 +142,48 @@ class TestBuildExecutor:
         assert build_executor(live) is live
 
 
-class TestDeprecationShims:
-    """The old kwarg API keeps working, warns, and is result-identical."""
+#: Keyword arguments that once configured execution outside ``executor=``.
+REMOVED_KEYWORDS = {
+    "jobs": 2,
+    "transfer": "summary",
+    "timeout": 1.0,
+    "worker_retries": 1,
+    "store": None,
+    "resume": False,
+    "on_result": print,
+}
 
-    def test_legacy_kwargs_warn(self):
-        specs = _specs(2)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            run_many(specs, jobs=1)
-        with pytest.warns(DeprecationWarning):
-            list(iter_many(specs, transfer="summary"))
 
-    def test_shim_parity_with_exec_config(self):
-        specs = _specs(3)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_many(specs, jobs=2, transfer="summary")
-        modern = run_many(
-            specs, ExecConfig(backend="process", jobs=2, transfer="summary")
-        )
-        assert [r.stats.summary() for r in legacy] == [
-            r.stats.summary() for r in modern
-        ]
+class TestRemovedKeywords:
+    """``executor=`` is the only way to say how a batch runs."""
 
-    def test_modern_paths_do_not_warn(self, recwarn):
-        run_many(_specs(2), "serial")
-        run_many(_specs(2), ExecConfig(jobs=1))
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
+    @pytest.mark.parametrize("name", sorted(REMOVED_KEYWORDS))
+    def test_removed_keyword_is_typeerror(self, name):
+        from repro.analysis.sweeps import sweep_subblocks
+        from repro.workloads.registry import get_workload
 
-    def test_unknown_kwarg_still_a_typeerror(self):
+        kw = {name: REMOVED_KEYWORDS[name]}
         with pytest.raises(TypeError):
-            run_many(_specs(1), banana=3)
+            run_many(_specs(1), **kw)
+        with pytest.raises(TypeError):
+            list(iter_many(_specs(1), **kw))
+        with pytest.raises(TypeError):
+            sweep_subblocks(get_workload("kmeans", TXNS), counts=(1,), **kw)
+
+    def test_cli_jobs_flag_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "ssca2", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 class TestBackendParity:
-    def test_serial_process_int_spec_all_identical(self):
+    def test_serial_process_config_all_identical(self):
         specs = _specs(4)
         baseline = [r.stats.summary() for r in run_many(specs, "serial")]
-        for executor in ("process:2", 2, ExecConfig(backend="process", jobs=2)):
+        for executor in ("process:2", ExecConfig(backend="process", jobs=2)):
             got = [r.stats.summary() for r in run_many(specs, executor)]
             assert got == baseline, f"{executor!r} diverged"
 

@@ -57,30 +57,30 @@ class TestConflictCounts:
 class TestStatsCollector:
     def test_conflict_recording(self):
         s = StatsCollector()
-        s.record_conflict(rec(is_false=True))
-        s.record_conflict(rec(is_false=False))
+        s.on_conflict(rec(is_false=True))
+        s.on_conflict(rec(is_false=False))
         assert s.conflicts.total == 2
         assert len(s.false_conflict_times) == 1
         assert s.false_by_line[3] == 1
 
     def test_event_list_optional(self):
         s = StatsCollector(record_events=False)
-        s.record_conflict(rec())
+        s.on_conflict(rec())
         assert s.conflict_events == []
         s2 = StatsCollector(record_events=True)
-        s2.record_conflict(rec())
+        s2.on_conflict(rec())
         assert len(s2.conflict_events) == 1
 
     def test_forced_waw_counter(self):
         s = StatsCollector()
-        s.record_conflict(rec(forced=True))
+        s.on_conflict(rec(forced=True))
         assert s.forced_waw_aborts == 1
 
     def test_txn_accounting(self):
         s = StatsCollector()
-        s.record_txn_start(5, attempt=1, static_id=0)
-        s.record_txn_start(9, attempt=2, static_id=0)
-        s.record_commit()
+        s.on_txn_start(0, 5, attempt=1, static_id=0)
+        s.on_txn_start(0, 9, attempt=2, static_id=0)
+        s.on_txn_commit(0, 0)
         assert s.txn_attempts == 2
         assert s.txn_commits == 1
         assert s.avg_retries == 2.0
@@ -88,18 +88,18 @@ class TestStatsCollector:
 
     def test_abort_accounting(self):
         s = StatsCollector()
-        s.record_abort("conflict_false", wasted=40)
-        s.record_abort("capacity", wasted=10)
-        s.record_abort("user", wasted=5)
-        s.record_abort("conflict_true", wasted=1)
+        s.on_txn_abort(0, 0, "conflict_false", wasted_cycles=40)
+        s.on_txn_abort(0, 0, "capacity", wasted_cycles=10)
+        s.on_txn_abort(0, 0, "user", wasted_cycles=5)
+        s.on_txn_abort(0, 0, "conflict_true", wasted_cycles=1)
         assert s.total_aborts == 4
         assert s.wasted_cycles == 56
 
     def test_access_histograms(self):
         s = StatsCollector()
-        s.record_access(0, is_write=False, hit_l1=True)
-        s.record_access(8, is_write=True, hit_l1=False)
-        s.record_access(0, is_write=True, hit_l1=True)
+        s.on_access(0, 0, 0, is_write=False, hit_l1=True)
+        s.on_access(0, 0, 8, is_write=True, hit_l1=False)
+        s.on_access(0, 0, 0, is_write=True, hit_l1=True)
         assert s.offset_histogram() == [(0, 2), (8, 1)]
         assert s.l1_hits == 2
         assert s.l1_misses == 1

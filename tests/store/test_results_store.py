@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.config import DetectionScheme, default_system
 from repro.errors import SimulationError
-from repro.sim.parallel import RunSpec, run_many
+from repro.sim.parallel import ExecConfig, RunSpec, run_many
 from repro.store import ResultsStore, spec_fingerprint, spec_key
 from repro.telemetry.summary import RunSummary
 
@@ -28,7 +29,7 @@ def make_spec(seed: int = 1, label: str = "x", **kw) -> RunSpec:
 
 
 def run_one(spec: RunSpec):
-    (res,) = run_many([spec], jobs=1, transfer="summary")
+    (res,) = run_many([replace(spec, transfer="summary")], ExecConfig(jobs=1))
     return res
 
 
@@ -86,7 +87,7 @@ class TestRoundTrip:
 
     def test_full_collector_not_stored(self, tmp_path):
         spec = make_spec()
-        (res,) = run_many([spec], jobs=1, transfer="full")
+        (res,) = run_many([replace(spec, transfer="full")], ExecConfig(jobs=1))
         with ResultsStore(tmp_path) as store:
             assert not store.record(spec, res)
             assert not store.has_spec(spec)

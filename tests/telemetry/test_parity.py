@@ -3,10 +3,12 @@ to the serial full-detail reference, across schemes and workloads."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import DetectionScheme, default_system
-from repro.sim.parallel import RunSpec, run_many
+from repro.sim.parallel import ExecConfig, RunSpec, run_many
 from repro.telemetry.summary import RunSummary, merge_summaries
 
 TXNS = 12
@@ -37,8 +39,8 @@ def specs_for_grid(**kw) -> list[RunSpec]:
 class TestSummaryParity:
     def test_pooled_summary_equals_serial_full_detail(self):
         """3 schemes × 3 workloads: the compact transfer loses nothing."""
-        serial = run_many(specs_for_grid(), jobs=1, transfer="full")
-        pooled = run_many(specs_for_grid(), jobs=4, transfer="summary")
+        serial = run_many(specs_for_grid(transfer="full"), ExecConfig(jobs=1))
+        pooled = run_many(specs_for_grid(transfer="summary"), ExecConfig(jobs=4))
         for s, p in zip(serial, pooled):
             assert not isinstance(s.stats, RunSummary)
             assert isinstance(p.stats, RunSummary), p.stats
@@ -48,7 +50,7 @@ class TestSummaryParity:
             assert p.scheme == s.scheme and p.workload == s.workload
 
     def test_summary_metadata_is_populated(self):
-        results = run_many(specs_for_grid(), jobs=1, transfer="summary")
+        results = run_many(specs_for_grid(transfer="summary"), ExecConfig(jobs=1))
         for spec, res in zip(specs_for_grid(), results):
             assert res.stats.label == spec.label
             assert res.stats.workload == res.workload
@@ -56,7 +58,7 @@ class TestSummaryParity:
             assert res.stats.seed == 1
 
     def test_merge_equals_manual_sums(self):
-        results = run_many(specs_for_grid(), jobs=1, transfer="summary")
+        results = run_many(specs_for_grid(transfer="summary"), ExecConfig(jobs=1))
         summaries = [r.stats for r in results]
         merged = merge_summaries(summaries)
         assert merged.txn_commits == sum(s.txn_commits for s in summaries)
@@ -77,5 +79,5 @@ class TestSummaryParity:
             txns_per_core=TXNS,
             tolerate_violations=True,
         )
-        (res,) = run_many([spec], jobs=1, transfer="summary")
+        (res,) = run_many([replace(spec, transfer="summary")], ExecConfig(jobs=1))
         assert res.stats.violations == res.violations

@@ -202,6 +202,12 @@ class TestCheckpoint:
             # Only the second invocation's 3 runs survive the wipe.
             assert len(store) == 3
 
+    def test_resume_without_checkpoint_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "ssca2", "--txns", "5", "--resume"])
+        assert exc.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+
     def test_sweep_checkpoint(self, tmp_path, capsys):
         from repro.store import ResultsStore
 

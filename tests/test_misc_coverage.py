@@ -147,7 +147,7 @@ class TestConfigResolutionDefault:
     def test_default_is_requester_wins(self):
         from repro.config import ConflictResolution, HtmConfig
 
-        assert HtmConfig().resolution is ConflictResolution.REQUESTER_WINS
+        assert HtmConfig().policy.resolution is ConflictResolution.REQUESTER_WINS
 
     def test_explicit_policy_respected(self):
         from repro.config import ConflictResolution, HtmConfig
@@ -155,4 +155,4 @@ class TestConfigResolutionDefault:
         from repro.config import HtmPolicy
 
         cfg = HtmConfig(policy=HtmPolicy(resolution=ConflictResolution.OLDER_WINS))
-        assert cfg.resolution is ConflictResolution.OLDER_WINS
+        assert cfg.policy.resolution is ConflictResolution.OLDER_WINS

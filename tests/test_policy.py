@@ -59,17 +59,13 @@ class TestHtmPolicy:
         cfg = default_system().with_policy(
             resolution=ConflictResolution.OLDER_WINS
         )
-        assert cfg.htm.resolution is ConflictResolution.OLDER_WINS
+        assert cfg.htm.policy.resolution is ConflictResolution.OLDER_WINS
         # Whole-policy replacement plus an override on top.
         cfg = cfg.with_policy(
             POLICY_PRESETS["lazy"], lazy_arbitration=LazyArbitration.POLITE
         )
         assert cfg.htm.policy.lazy_arbitration is LazyArbitration.POLITE
         assert cfg.htm.policy.conflict_detection is DetectionTiming.LAZY
-
-    def test_resolution_property_proxies_policy(self):
-        cfg = default_system()
-        assert cfg.htm.resolution is cfg.htm.policy.resolution
 
 
 def _run(cfg, txns=25, seed=5, n_cores=8):
