@@ -76,6 +76,7 @@ from repro.config import (
     default_system,
 )
 from repro.core.overhead import OverheadModel
+from repro.errors import WorkloadError
 from repro.sim.runner import compare_systems, compare_systems_seeds, run_scripts
 from repro.telemetry import aggregate_metrics
 from repro.trace.scriptio import load_scripts, save_scripts
@@ -708,7 +709,11 @@ def _cmd_save_scripts(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    scripts = load_scripts(args.path)
+    try:
+        scripts = load_scripts(args.path)
+    except WorkloadError as exc:
+        print(f"repro-asf replay: {exc}", file=sys.stderr)
+        return 1
     results = {}
     for scheme in ALL_SCHEMES if args.all_schemes else (
         DetectionScheme.ASF_BASELINE, DetectionScheme.SUBBLOCK,

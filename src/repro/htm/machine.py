@@ -146,13 +146,30 @@ class HtmMachine:
         self._stalled = [False] * config.n_cores
         self._stall_count = 0
         self._stall_budget = [0] * config.n_cores
-        self.mem = MemorySystem(config)
-        self.mem.sink = self.sink
+        # Shared by both kernels: the probe fabric, the store-token
+        # allocator and the commit-order tracker the atomicity checker reads.
         self.bus = SnoopBus(config.n_cores)
-        self.amap: AddressMap = self.mem.amap
         self.tokens = TokenAllocator()
         self.versions = VersionTracker()
         self.versions.on_commit(NON_TXN_UID)
+        self.active: list[Transaction | None] = [None] * config.n_cores
+        self._txn_uid = NON_TXN_UID  # allocate() pre-increments
+        self._build_storage(config)
+
+    def _build_storage(self, config: SystemConfig) -> None:
+        """Build the line storage: ``amap``, the committed ``memory`` image
+        and the kernel's own cache/side-state structures.
+
+        The object model keeps per-core cache objects and speculative side
+        tables; the flat kernel overrides this with its ``SimState`` planes
+        and never builds these.
+        """
+        self.mem = MemorySystem(config)
+        self.mem.sink = self.sink
+        self.amap: AddressMap = self.mem.amap
+        # Committed memory image (``{word_addr: token}``), one dict shared
+        # with the hierarchy.
+        self.memory: dict[int, int] = self.mem.memory
         self.spec_tables: list[dict[int, SpecLineState]] = [
             dict() for _ in range(config.n_cores)
         ]
@@ -161,8 +178,6 @@ class HtmMachine:
         # piggy-back collection visit only these cores instead of scanning
         # all n_cores side tables.
         self.spec_holders: dict[int, int] = {}
-        self.active: list[Transaction | None] = [None] * config.n_cores
-        self._txn_uid = NON_TXN_UID  # allocate() pre-increments
 
     # ------------------------------------------------------------------ txns
 
@@ -201,7 +216,7 @@ class HtmMachine:
         if self.detector.requires_commit_validation and not self._read_set_valid(txn):
             return self._abort(core, time, AbortCause.VALIDATION)
         if self.checker is not None:
-            self.checker.validate_commit(txn, self.mem.memory)
+            self.checker.validate_commit(txn, self.memory)
         if self._lazy_cd and self._committer_wins:
             self._commit_arbitrate(core, txn, time)
         if self._eager_vm:
@@ -212,7 +227,7 @@ class HtmMachine:
             if redo:
                 # Inlined mem_write_word: redo keys are built word-aligned by
                 # _apply_store, so the alignment guard cannot fire here.
-                memory = self.mem.memory
+                memory = self.memory
                 for word_addr, token in redo.items():
                     memory[word_addr] = token
         if self._lazy_cd:
@@ -242,7 +257,7 @@ class HtmMachine:
         comparison.  Reads forwarded from the transaction's own stores are
         never in ``observed``, so they do not self-invalidate.
         """
-        memory = self.mem.memory
+        memory = self.memory
         undo = txn.undo if self._eager_vm else None
         for word_addr, token in txn.observed.items():
             if undo is not None and word_addr in undo:
@@ -824,7 +839,7 @@ class HtmMachine:
                     # overwritten value for the abort rollback.  First
                     # touch only — the undo log keeps the pre-transaction
                     # value, not intermediate ones.
-                    memory = self.mem.memory
+                    memory = self.memory
                     undo = txn.undo
                     if word_addr not in undo:
                         undo[word_addr] = memory.get(word_addr, 0)
@@ -867,7 +882,7 @@ class HtmMachine:
         txn = self._require_txn(core)
         self.versions.on_abort(txn.uid)
         if self._eager_vm and txn.undo:
-            restore_undo(self.mem.memory, txn.undo)
+            restore_undo(self.memory, txn.undo)
         if self._stall_res and self._stalled[core]:
             # A stalled core can die remotely; free its queue slot.
             self._stalled[core] = False

@@ -7,6 +7,12 @@ tables, no MOESI enum dispatch, no detector method calls per access.  The
 detection scheme's record/check/piggy-back rules are inlined as integer
 mask arithmetic specialised once at construction time from the config.
 
+The base constructor builds only what both kernels share (``amap``,
+the committed ``memory`` image, ``bus``, ``tokens``, ``versions``);
+:meth:`FlatTxnMachine._build_storage` puts ``SimState`` where the object
+model builds its cache objects and speculative side tables, so a flat
+machine has no ``mem``, ``spec_tables`` or ``spec_holders``.
+
 It is a *bit-exact mirror* of the object machine — same telemetry events
 in the same order, same latencies, same conflict records, same LRU and
 probe delivery order — which the kernel-parity grid, the hypothesis
@@ -96,7 +102,7 @@ from repro.kernel.state import (
     NON_INVALIDATING_NEXT,
     SimState,
 )
-from repro.mem.address import WORD_SIZE
+from repro.mem.address import WORD_SIZE, AddressMap
 from repro.telemetry.events import EventSink
 from repro.util.bitops import reduce_mask
 
@@ -122,7 +128,7 @@ class FlatTxnMachine(HtmMachine):
                 "custom detector objects need kernel='object'"
             )
         super().__init__(config, stats=stats, checker=checker)
-        s = self.state = SimState(config)
+        s = self.state
         scheme = config.htm.scheme
         # Scheme specialisation: which family of inlined mask rules runs.
         self._sub = scheme in (DetectionScheme.SUBBLOCK, DetectionScheme.PERFECT)
@@ -176,7 +182,7 @@ class FlatTxnMachine(HtmMachine):
         # Lazy schemes must keep recording observed tokens for commit-time
         # read-set validation even without a checker attached.
         self._lazy = self.detector.requires_commit_validation
-        self._memory = self.mem.memory
+        self._memory = self.memory
         # Shared outcome for no-traffic L1 hits; all fields are invariant
         # on that path and every consumer reads scalars immediately.
         out = AccessOutcome.__new__(AccessOutcome)
@@ -200,6 +206,13 @@ class FlatTxnMachine(HtmMachine):
         self._on_fill = self.sink.on_fill
         self._count_response = self.bus.count_response
         self._bstats = self.bus.stats
+
+    def _build_storage(self, config: SystemConfig) -> None:
+        """SimState planes instead of the object model's caches and side
+        tables (``mem``, ``spec_tables``, ``spec_holders`` never exist here)."""
+        self.amap = AddressMap(config.line_size)
+        self.memory = {}
+        self.state = SimState(config)
 
     # ------------------------------------------------------------------ helpers
 

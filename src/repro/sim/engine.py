@@ -12,6 +12,12 @@ immediately).
 Determinism: event order is a pure function of ``(config, scripts, seed)``;
 all jitter comes from named :class:`DeterministicRng` sub-streams.
 
+Scripts are executed as built: each :class:`~repro.htm.ops.TxnOp` is the
+``(is_mem, addr, size, is_write, cycles)`` tuple the batched loop unpacks
+in one step, so the engine keeps no lowered copy of the program and its
+construction cost does not depend on script length.  The stepwise loop
+reads the same fields by name.
+
 Micro-batching (``micro_batch=True``, the default) removes the heap
 round-trip between consecutive steps of the same core.  After popping an
 event the engine keeps executing that core's state machine locally,
@@ -140,20 +146,6 @@ class SimulationEngine:
             )
             for c in range(config.n_cores)
         ]
-        # Per-item op metadata for the batched loop: TxnOp.is_mem/is_write
-        # are properties, too costly to re-derive on every op execution.
-        self._meta: list[
-            tuple[tuple[tuple[bool, int, int, bool, int], ...], ...]
-        ] = [
-            tuple(
-                tuple(
-                    (op.is_mem, op.addr, op.size, op.is_write, op.cycles)
-                    for op in item.ops
-                )
-                for item in script.txns
-            )
-            for script in scripts
-        ]
         self._heap: list[tuple[int, int, int]] = []
         self._seq = 0
 
@@ -205,7 +197,6 @@ class SimulationEngine:
         commit = machine.commit
         abort_self = machine.abort_self
         retry_at = self._retry_at
-        meta_all = self._meta
         lat = self.config.latency
         begin_ov = lat.txn_begin_overhead
         commit_ov = lat.commit_overhead
@@ -238,13 +229,13 @@ class SimulationEngine:
                 else:
                     phase = cs.phase
                     if phase is RUN:
-                        meta = meta_all[core][cs.item]
-                        n_ops = len(meta)
+                        ops = txn.ops  # the script's TxnOp records
+                        n_ops = len(ops)
                         pc = txn.pc
                         if pc < n_ops:
                             # Op loop: same virtual steps, locals only.
                             while True:
-                                is_mem, m_addr, m_size, m_isw, m_cyc = meta[pc]
+                                is_mem, m_addr, m_size, m_isw, m_cyc = ops[pc]
                                 if is_mem:
                                     outcome = access(
                                         core, m_addr, m_size, m_isw, time

@@ -36,14 +36,38 @@ def _encode_op(op: TxnOp) -> list:
 
 
 def _decode_op(raw: list) -> TxnOp:
-    match raw:
-        case ["R", addr, size]:
-            return read_op(int(addr), int(size))
-        case ["W", addr, size]:
-            return write_op(int(addr), int(size))
-        case ["C", cycles]:
-            return work_op(int(cycles))
+    """One op record; fields must be JSON integers (never floats, strings
+    or booleans), and the op factories' range checks apply."""
+    try:
+        match raw:
+            case ["R", addr, size]:
+                return read_op(addr, size)
+            case ["W", addr, size]:
+                return write_op(addr, size)
+            case ["C", cycles]:
+                return work_op(cycles)
+    except (TypeError, ValueError) as exc:
+        raise WorkloadError(f"malformed op record {raw!r}: {exc}") from None
     raise WorkloadError(f"malformed op record: {raw!r}")
+
+
+def _decode_int(value: object, what: str) -> int:
+    if type(value) is not int:
+        raise WorkloadError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _decode_row(line: str) -> CoreScript:
+    row = json.loads(line)
+    txns = tuple(
+        ScriptedTxn(
+            gap_cycles=_decode_int(gap, "gap"),
+            ops=tuple(_decode_op(op) for op in ops),
+            user_abort_attempts=_decode_int(aborts, "user_abort_attempts"),
+        )
+        for gap, aborts, ops in row["txns"]
+    )
+    return CoreScript(core=_decode_int(row["core"], "core"), txns=txns)
 
 
 def save_scripts(
@@ -79,34 +103,35 @@ def load_scripts(path: str | Path) -> list[CoreScript]:
     """Load scripts written by :func:`save_scripts`; verifies the digest."""
     path = Path(path)
     with path.open() as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != FORMAT_NAME:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise WorkloadError(f"{path}: not a {FORMAT_NAME} file")
         if header.get("version") != FORMAT_VERSION:
             raise WorkloadError(
                 f"{path}: unsupported version {header.get('version')}"
             )
         scripts: list[CoreScript] = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            txns = tuple(
-                ScriptedTxn(
-                    gap_cycles=int(gap),
-                    ops=tuple(_decode_op(op) for op in ops),
-                    user_abort_attempts=int(aborts),
-                )
-                for gap, aborts, ops in row["txns"]
-            )
-            scripts.append(CoreScript(core=int(row["core"]), txns=txns))
-    if len(scripts) != header["n_cores"]:
+            try:
+                scripts.append(_decode_row(line))
+            except WorkloadError as exc:
+                raise WorkloadError(f"{path}:{lineno}: {exc}") from None
+            except (KeyError, TypeError, ValueError) as exc:
+                raise WorkloadError(
+                    f"{path}:{lineno}: malformed core record: {exc!r}"
+                ) from None
+    if len(scripts) != header.get("n_cores"):
         raise WorkloadError(
-            f"{path}: header promises {header['n_cores']} cores, "
+            f"{path}: header promises {header.get('n_cores')} cores, "
             f"found {len(scripts)}"
         )
     digest = scripts_digest(scripts)
-    if digest != header["digest"]:
+    if digest != header.get("digest"):
         raise WorkloadError(f"{path}: digest mismatch (corrupt or edited)")
     return scripts
 

@@ -89,8 +89,7 @@ class Workload(ABC):
         """Common sanity checks generators run on their own output."""
         for cs in scripts:
             for txn in cs.txns:
-                mem_ops = [op for op in txn.ops if op.is_mem]
-                if not mem_ops:
+                if not any(op.is_mem for op in txn.ops):
                     raise WorkloadError(
                         f"{self.name}: transaction with no memory operations"
                     )

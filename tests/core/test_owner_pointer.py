@@ -1,5 +1,6 @@
-"""The O(1) supplier owner-pointer: `MemorySystem.l1_owner` must always
-point at the unique supply-capable (MOESI M/O/E) copy of a line.
+"""The O(1) supplier owner-pointer: `MemorySystem.l1_owner` (object
+kernel) and the `SimState.owner` plane (flat kernel) must always point at
+the unique supply-capable (MOESI M/O/E) copy of a line.
 
 The fill path trusts this map instead of walking sharers, so a stale or
 missing entry would silently change supplier selection — these tests pin
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import DetectionScheme, default_system
+from repro.kernel.state import MOESI_O
 from repro.mem.moesi import supplies_data
 from repro.sim.engine import SimulationEngine
 from repro.workloads.registry import get_workload
@@ -24,8 +26,14 @@ SCHEMES = (
 )
 
 
-def assert_owner_invariant(mem) -> None:
-    """Owner map == the set of supply-capable L1 copies, exactly."""
+def assert_owner_invariant(machine) -> None:
+    """Owner pointers == the set of supply-capable L1 copies, exactly, on
+    whichever structures the machine's kernel keeps."""
+    state = getattr(machine, "state", None)
+    if state is not None:
+        assert_flat_owner_invariant(state)
+        return
+    mem = machine.mem
     supply_holders: dict[int, list[int]] = {}
     for core, l1 in enumerate(mem.l1s):
         for line in l1.resident_lines():
@@ -47,6 +55,23 @@ def assert_owner_invariant(mem) -> None:
         )
 
 
+def assert_flat_owner_invariant(state) -> None:
+    """The flat kernel's owner plane against its MOESI plane."""
+    state.audit_coherence()
+    for li, line_addr in enumerate(state.line_addrs):
+        cores = [
+            c for c in range(state.n_cores) if state.moesi[c][li] >= MOESI_O
+        ]
+        assert len(cores) <= 1, (
+            f"line {line_addr:#x} has {len(cores)} supply-capable copies "
+            f"(MOESI invariant broken): {cores}"
+        )
+        assert state.owner[li] == (cores[0] if cores else -1), (
+            f"line {line_addr:#x}: owner plane says {state.owner[li]}, "
+            f"MOESI plane says {cores}"
+        )
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("bench", ["kmeans", "genome"])
 def test_owner_map_exact_after_full_run(scheme, bench):
@@ -56,7 +81,7 @@ def test_owner_map_exact_after_full_run(scheme, bench):
         cfg, workload.build(cfg.n_cores, 1), seed=1, check_atomicity=False
     )
     engine.run()
-    assert_owner_invariant(engine.machine.mem)
+    assert_owner_invariant(engine.machine)
 
 
 def test_owner_map_exact_mid_run():
@@ -78,12 +103,12 @@ def test_owner_map_exact_mid_run():
         original_step(cs, now)
         checked += 1
         if checked % 50 == 0:  # every step would be O(n^2) slow
-            assert_owner_invariant(engine.machine.mem)
+            assert_owner_invariant(engine.machine)
 
     engine._step = checking_step
     engine.run()
     assert checked > 100
-    assert_owner_invariant(engine.machine.mem)
+    assert_owner_invariant(engine.machine)
 
 
 def test_owner_pointer_parity_object_vs_flat():
@@ -104,5 +129,5 @@ def test_owner_pointer_parity_object_vs_flat():
     flat_stats = flat.run()
     assert obj_stats.summary() == flat_stats.summary()
     assert obj_stats.per_core_cycles == flat_stats.per_core_cycles
-    assert_owner_invariant(obj.machine.mem)
-    flat.machine.state.audit_coherence()
+    assert_owner_invariant(obj.machine)
+    assert_owner_invariant(flat.machine)

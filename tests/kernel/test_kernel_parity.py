@@ -72,7 +72,7 @@ def test_kernel_parity_deep(scheme):
     assert dataclasses.asdict(obj.machine.bus.stats) == dataclasses.asdict(
         flat.machine.bus.stats
     )
-    assert dict(obj.machine.mem.memory) == dict(flat.machine.mem.memory)
+    assert dict(obj.machine.memory) == dict(flat.machine.memory)
     flat.machine.state.audit_coherence()
 
 

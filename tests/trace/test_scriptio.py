@@ -1,6 +1,7 @@
 """Script serialization tests."""
 
 import json
+import re
 
 import pytest
 
@@ -86,6 +87,13 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             load_scripts(path)
 
+    @pytest.mark.parametrize("first_line", ["not json", "[1, 2]", ""])
+    def test_rejects_non_script_header(self, tmp_path, first_line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(first_line + "\n")
+        with pytest.raises(WorkloadError, match="not a repro-script file"):
+            load_scripts(path)
+
     def test_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "repro-script", "version": 99}\n')
@@ -121,3 +129,69 @@ class TestValidation:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(WorkloadError, match="op"):
             load_scripts(path)
+
+    @pytest.mark.parametrize(
+        "bad_op",
+        [
+            ["R", -8, 8],  # negative address
+            ["C", 0],  # non-positive work cycles
+            ["R", 8, 0],  # non-positive size
+            ["R", 8.9, 8],  # float address (int() would truncate it)
+            ["W", "16", 8],  # string address (int() would parse it)
+            ["R", 8, 8.0],  # integral float size
+            ["W", True, 8],  # bool is not an integer here
+            ["C", False],
+            ["C", 5, 6],  # wrong arity
+        ],
+        ids=repr,
+    )
+    def test_bad_op_names_path_and_line(self, tmp_path, bad_op):
+        path = tmp_path / "s.jsonl"
+        save_scripts(tiny_scripts(), path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])  # core 1, file line 3
+        row["txns"][0][2][1] = bad_op
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(WorkloadError, match=rf"^{re.escape(str(path))}:3: "):
+            load_scripts(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda row: row["txns"][0].__setitem__(0, 10.5),
+            lambda row: row["txns"][0].__setitem__(1, "1"),
+            lambda row: row.__setitem__("core", 1.0),
+            lambda row: row["txns"][0].__setitem__(2, []),
+            lambda row: row.pop("txns"),
+            lambda row: row["txns"].__setitem__(0, [10, 1]),
+        ],
+        ids=[
+            "float-gap", "string-aborts", "float-core", "empty-txn",
+            "missing-txns", "short-record",
+        ],
+    )
+    def test_bad_core_record_names_path_and_line(self, tmp_path, edit):
+        path = tmp_path / "s.jsonl"
+        save_scripts(tiny_scripts(), path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        edit(row)
+        lines[1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(WorkloadError, match=rf"^{re.escape(str(path))}:2: "):
+            load_scripts(path)
+
+    def test_cli_replay_reports_bad_op_without_traceback(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "s.jsonl"
+        save_scripts(tiny_scripts(), path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        row["txns"][0][2][0] = ["R", -8, 8]
+        lines[1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2: " in err and "negative address" in err
